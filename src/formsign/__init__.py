@@ -27,7 +27,6 @@ from .forms import (
     Form,
     InhomogeneousError,
     as_fraction,
-    check_homogeneous,
 )
 from .oracle import GridResult, GridSpec, closed_form_central_power, grid_classify
 from .parsing import (
@@ -88,7 +87,6 @@ __all__ = [
     "as_fraction",
     "barycenter",
     "check_convergence",
-    "check_homogeneous",
     "closed_form_central_power",
     "compose",
     "decide",

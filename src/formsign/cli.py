@@ -43,7 +43,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_scheme(selector: str, n: int, validate_file: bool = True) -> SubdivisionScheme:
+def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
     if selector == "wds":
         return make_wds_scheme(n)
     if selector == "midpoint3":
@@ -53,7 +53,7 @@ def _resolve_scheme(selector: str, n: int, validate_file: bool = True) -> Subdiv
     if selector == "central3":
         return make_central3_scheme()
     if selector.startswith("file:"):
-        return load_scheme(selector[len("file:"):], validate=validate_file)
+        return load_scheme(selector[len("file:"):])
     raise SchemeError(
         f"unknown scheme {selector!r} "
         f"(choose one of {', '.join(_BUILTIN_SCHEMES)}, or file:PATH)"
@@ -126,15 +126,21 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_analyze_scheme(args) -> int:
-    scheme = _resolve_scheme(args.scheme, args.n, validate_file=False)
-    validation = validate_scheme(scheme)
-    convergence = check_convergence(scheme) if validation.ok else None
+    try:
+        scheme = _resolve_scheme(args.scheme, args.n)
+    except SchemeError as exc:
+        # a scheme file whose cells fail the checks: report them matrix by matrix
+        if exc.validation is None:
+            raise
+        validation, convergence = exc.validation, None
+    else:
+        validation, convergence = validate_scheme(scheme), check_convergence(scheme)
 
     if args.output == "json":
         report = {
-            "scheme": scheme.name,
-            "n": scheme.n,
-            "matrices": len(scheme),
+            "scheme": validation.name,
+            "n": validation.n,
+            "matrices": len(validation.checks),
             "valid": validation.ok,
             "dets": [str(c.det) for c in validation.checks],
             "det_sum": str(validation.det_sum),
@@ -153,7 +159,10 @@ def _cmd_analyze_scheme(args) -> int:
             ]
         print(json.dumps(report, indent=2))
     else:
-        print(f"scheme: {scheme.name} ({len(scheme)} cells, n = {scheme.n})")
+        print(
+            f"scheme: {validation.name} ({len(validation.checks)} cells, "
+            f"n = {validation.n})"
+        )
         for check in validation.checks:
             notes = []
             if not check.column_sums_ok:

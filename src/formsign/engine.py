@@ -34,14 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Exponents, Form
-from .subdivision import (
-    SchemeError,
-    SubdivisionScheme,
-    barycenter,
-    compose,
-    validate_scheme,
-)
+from .forms import DimensionMismatchError, Exponents, Form, _mul_linear
+from .subdivision import SubdivisionScheme, barycenter, compose
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
 
@@ -98,20 +92,6 @@ def _exponent_list(n: int, d: int) -> list[Exponents]:
     return out
 
 
-def _int_mul_linear(poly: dict, image: tuple) -> dict:
-    out: dict[Exponents, int] = {}
-    for k, v in poly.items():
-        for j, c in enumerate(image):
-            if c:
-                kk = k[:j] + (k[j] + 1,) + k[j + 1 :]
-                s = out.get(kk, 0) + v * c
-                if s:
-                    out[kk] = s
-                elif kk in out:
-                    del out[kk]
-    return out
-
-
 class _Table:
     """Integer expansion columns for one scheme at one degree.
 
@@ -142,7 +122,7 @@ class _Table:
                 for alpha in _exponent_list(n, k):
                     i = next(ix for ix, e in enumerate(alpha) if e)
                     pred = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                    cur[alpha] = _int_mul_linear(prev[pred], images[i])
+                    cur[alpha] = _mul_linear(prev[pred], images[i])
                 prev = cur
             cols = []
             for alpha in self.exponents:
@@ -200,9 +180,8 @@ def expand_level(
     positive children are counted in `pruned` and dropped; on the first
     trivially negative child the scan stops and that child is returned as
     `negative` (later children are never materialized); all other children
-    are returned content normalized.  The caller is responsible for handing
-    in a valid scheme and branches whose forms share one degree and
-    dimension (decide does both).
+    are returned content normalized.  Every branch form must have the
+    scheme's dimension and one shared degree.
     """
     branches = list(frontier)
     if not branches:
@@ -297,9 +276,6 @@ def decide(
         )
     if not isinstance(max_depth, int) or max_depth < 1:
         raise ValueError("max_depth must be an integer >= 1")
-    validation = validate_scheme(scheme)
-    if not validation.ok:
-        raise SchemeError("invalid scheme: " + "; ".join(validation.failures()))
 
     # depth 0: the input form itself may already settle it
     if form.is_trivially_negative():

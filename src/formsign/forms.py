@@ -36,6 +36,8 @@ class InhomogeneousError(ValueError):
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
+    if type(value) is Fraction:  # immutable, so no copy is needed
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"refusing {value!r}: only exact rationals (int, Fraction, 'p/q') are accepted"
@@ -211,22 +213,16 @@ class Form:
         return f"Form(n={self.n}, degree={self.degree}, terms={len(self.terms)})"
 
 
-def check_homogeneous(terms: Mapping[Iterable[int], RationalLike], n: int) -> Form:
-    """Validate a raw exponent-to-coefficient map and build the Form.
-
-    Raises InhomogeneousError naming the two offending degrees when terms of
-    different total degree are mixed, and DimensionMismatchError when an
-    exponent vector has the wrong length.
-    """
-    return Form(n, terms)
+# Sums start at int 0, so integer inputs (the engine's substitution tables)
+# stay integer and Fraction inputs give Fractions.
 
 
 def _mul(p: dict, q: dict) -> dict:
-    out: dict[Exponents, Fraction] = {}
+    out: dict = {}
     for ka, va in p.items():
         for kb, vb in q.items():
             k = tuple(a + b for a, b in zip(ka, kb))
-            s = out.get(k, _ZERO) + va * vb
+            s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s
             elif k in out:
@@ -236,12 +232,12 @@ def _mul(p: dict, q: dict) -> dict:
 
 def _mul_linear(p: dict, image: tuple) -> dict:
     # multiply by a linear form; image[j] is the coefficient of variable j
-    out: dict[Exponents, Fraction] = {}
+    out: dict = {}
     for k, v in p.items():
         for j, c in enumerate(image):
             if c:
                 kk = k[:j] + (k[j] + 1,) + k[j + 1 :]
-                s = out.get(kk, _ZERO) + v * c
+                s = out.get(kk, 0) + v * c
                 if s:
                     out[kk] = s
                 elif kk in out:

@@ -12,8 +12,10 @@ Grammar (whitespace is ignored, positions are 0-based character offsets):
 Multiplication is always explicit ('x y' and '2x' are errors), '/' only
 joins two integer literals into one rational constant, and exponents are
 nonnegative integers capped at 2**16.  '-1/3*x^3' therefore denotes
-(-1/3) * x**3.  The same grammar is used for the --form command line
-argument; scheme files use their own simpler row format.
+(-1/3) * x**3.  Parentheses and unary minus signs nest at most 100 deep,
+so a hostile input is a syntax error rather than a blown Python stack.
+The same grammar is used for the --form command line argument; scheme
+files use their own simpler row format.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forms import Exponents, Form, _ZERO
+from .forms import Form, _ZERO, _mul
 
 MAX_EXPONENT = 2**16
+MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -110,6 +113,9 @@ class _Parser:
     def __init__(self, text: str, ctx: VariableContext):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # parentheses and minus signs around the factor being parsed; the
+        # top-level unary call brings it to 0
+        self.depth = -1
         self.ctx = ctx
 
     def peek(self):
@@ -144,14 +150,22 @@ class _Parser:
         value = self.unary()
         while self.peek()[0] == "*":
             self.advance()
-            value = _mul_terms(value, self.unary())
+            value = _mul(value, self.unary())
         return value
 
     def unary(self) -> dict:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormSyntaxError(
+                f"expression nested more than {MAX_NESTING} levels deep", self.peek()[2]
+            )
         if self.peek()[0] == "-":
             self.advance()
-            return _scale(self.unary(), Fraction(-1))
-        return self.power()
+            value = _scale(self.unary(), Fraction(-1))
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> dict:
         base = self.atom()
@@ -219,23 +233,10 @@ def _scale(p: dict, c: Fraction) -> dict:
     return {k: v * c for k, v in p.items()}
 
 
-def _mul_terms(p: dict, q: dict) -> dict:
-    out: dict[Exponents, Fraction] = {}
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            k = tuple(a + b for a, b in zip(ka, kb))
-            s = out.get(k, _ZERO) + va * vb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
-
-
 def _power(p: dict, e: int, n: int) -> dict:
     out = {(0,) * n: Fraction(1)}
     for _ in range(e):
-        out = _mul_terms(out, p)
+        out = _mul(out, p)
     return out
 
 

@@ -4,8 +4,8 @@ A subsimplex of the simplex T_n = {x >= 0, sum x = 1} is written as an
 n x n matrix whose column j is vertex j of the subsimplex, so columns are
 nonnegative and sum to 1, and the matrix is nonsingular when the subsimplex
 has positive volume.  A subdivision scheme is an ordered family of such
-matrices that tile T_n (checked here via sum |det| = 1 / n factors of the
-volume form, which all cancel to plain sum |det| = 1).
+matrices that tile T_n (checked when the scheme is built, via sum |det| = 1
+/ n factors of the volume form, which all cancel to plain sum |det| = 1).
 
 Substituting a matrix into a form restricts the form to that subsimplex in
 the subsimplex's own coordinates, which is what the decision engine builds
@@ -23,7 +23,15 @@ from .forms import DimensionMismatchError, RationalLike, as_fraction
 
 
 class SchemeError(ValueError):
-    """An invalid subdivision scheme, scheme parameter or scheme file."""
+    """An invalid subdivision scheme, scheme parameter or scheme file.
+
+    `validation` holds the failed SchemeValidation when a scheme's cells
+    fail their checks, and is None otherwise.
+    """
+
+    def __init__(self, message: str, validation: SchemeValidation | None = None):
+        super().__init__(message)
+        self.validation = validation
 
 
 def barycenter(n: int) -> tuple[Fraction, ...]:
@@ -38,8 +46,8 @@ class NormalizedMatrix:
 
     The constructor pins shape and exactness only.  Whether the columns
     really lie on the simplex (nonnegative, summing to 1) and span a
-    positive-volume cell is reported by validate_scheme, so candidates that
-    break those rules can still be represented and diagnosed.
+    positive-volume cell is checked when matrices form a SubdivisionScheme,
+    so a single matrix that breaks those rules can still be represented.
     """
 
     __slots__ = ("n", "rows")
@@ -54,11 +62,11 @@ class NormalizedMatrix:
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[RationalLike]]) -> "NormalizedMatrix":
-        cols = tuple(tuple(as_fraction(v) for v in col) for col in columns)
-        n = len(cols)
-        if n == 0 or any(len(c) != n for c in cols):
+        cols = tuple(tuple(col) for col in columns)
+        # zip would truncate ragged columns; __init__ coerces the entries
+        if any(len(c) != len(cols) for c in cols):
             raise ValueError("matrix must be square and nonempty")
-        return cls(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        return cls(zip(*cols))
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedMatrix":
@@ -179,7 +187,9 @@ class SubdivisionScheme:
 
     Order is significant: branch index paths and witness reports use the
     1-based position of each matrix, so reordering matrices produces
-    different (equally valid) traces.
+    different (equally valid) traces.  Every scheme is checked when it is
+    built: the constructor raises SchemeError("invalid scheme: ...") with the
+    failed validate_scheme result attached, so a scheme object is valid.
     """
 
     __slots__ = ("name", "n", "matrices", "_tables")
@@ -198,6 +208,11 @@ class SubdivisionScheme:
         self.name = str(name)
         self.n = n
         self.matrices = mats
+        validation = validate_scheme(self)
+        if not validation.ok:
+            raise SchemeError(
+                "invalid scheme: " + "; ".join(validation.failures()), validation
+            )
         self._tables: dict = {}  # engine substitution tables, keyed by degree
 
     def __len__(self) -> int:
@@ -368,6 +383,8 @@ class MatrixCheck:
 
 @dataclass(frozen=True)
 class SchemeValidation:
+    name: str  # the scheme's name and dimension, for reports
+    n: int
     checks: tuple[MatrixCheck, ...]
     det_sum: Fraction  # sum of |det| over all matrices
     det_sum_ok: bool
@@ -396,22 +413,21 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     """Check every matrix (columns on the simplex, positive volume) and that
     the cell volumes sum to the whole simplex (sum of |det| equal to 1).
 
-    Overlap beyond the volume count is not checked; a family that
-    double-covers one region and misses another with matching volumes will
-    pass, as documented.
+    SubdivisionScheme runs this when it is built and refuses a failing
+    family, so for a scheme object the result is always ok; analyze-scheme
+    prints it as a per-matrix report.  Overlap beyond the volume count is
+    not checked; a family that double-covers one region and misses another
+    with matching volumes will pass, as documented.
     """
     checks = []
     total = Fraction(0)
     for idx, m in enumerate(scheme.matrices, start=1):
-        sums_ok = all(
-            sum((m.rows[i][j] for i in range(m.n)), Fraction(0)) == 1
-            for j in range(m.n)
-        )
-        nonneg_ok = all(v >= 0 for row in m.rows for v in row)
+        sums_ok = all(sum(col, Fraction(0)) == 1 for col in zip(*m.rows))
+        nonneg_ok = all(v.numerator >= 0 for row in m.rows for v in row)
         d = m.det()
         total += abs(d)
         checks.append(MatrixCheck(idx, sums_ok, nonneg_ok, d != 0, d))
-    return SchemeValidation(tuple(checks), total, total == 1)
+    return SchemeValidation(scheme.name, scheme.n, tuple(checks), total, total == 1)
 
 
 @dataclass(frozen=True)
@@ -484,9 +500,8 @@ def format_scheme(scheme: SubdivisionScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_scheme(text: str, validate: bool = True) -> SubdivisionScheme:
-    """Parse the scheme file format; with validate=True (the default) the
-    scheme must also pass validate_scheme or SchemeError lists the failures."""
+def parse_scheme(text: str) -> SubdivisionScheme:
+    """Parse the scheme file format into a (checked) SubdivisionScheme."""
     name: str | None = None
     n: int | None = None
     matrices: list[list[tuple[Fraction, ...]]] = []
@@ -545,22 +560,17 @@ def parse_scheme(text: str, validate: bool = True) -> SubdivisionScheme:
         raise SchemeError("no matrices")
     if len(matrices[-1]) != n:
         raise SchemeError(f"last matrix has {len(matrices[-1])} rows, expected {n}")
-    scheme = SubdivisionScheme(name, n, tuple(NormalizedMatrix(m) for m in matrices))
-    if validate:
-        validation = validate_scheme(scheme)
-        if not validation.ok:
-            raise SchemeError("invalid scheme: " + "; ".join(validation.failures()))
-    return scheme
+    return SubdivisionScheme(name, n, tuple(NormalizedMatrix(m) for m in matrices))
 
 
-def load_scheme(path, validate: bool = True) -> SubdivisionScheme:
+def load_scheme(path) -> SubdivisionScheme:
     """Read and parse a scheme file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return parse_scheme(text, validate=validate)
+        return parse_scheme(text)
     except SchemeError as exc:
-        raise SchemeError(f"{path}: {exc}") from None
+        raise SchemeError(f"{path}: {exc}", exc.validation) from None
 
 
 def save_scheme(scheme: SubdivisionScheme, path) -> None:

@@ -103,6 +103,14 @@ class TestDecideCommand:
         assert code == 3
         assert "error: unexpected end of input" in err
 
+    def test_deep_nesting_exit_three(self, capsys):
+        form = "(" * 2000 + "x" + ")" * 2000 + " - y"
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y", "--form", form, "--scheme", "wds"
+        )
+        assert code == 3
+        assert "error: expression nested more than 100 levels deep" in err
+
     def test_unknown_scheme_exit_three(self, capsys):
         code, out, err = run(
             capsys,

@@ -97,16 +97,19 @@ class TestDecideArguments:
         with pytest.raises(ValueError, match="max_depth"):
             decide(sym_diff_form, wds3, max_depth=0)
 
-    def test_invalid_scheme_rejected(self, sym_diff_form):
+    def test_invalid_scheme_rejected(self):
         from formsign import NormalizedMatrix
 
-        bad = SubdivisionScheme(
-            "bad",
-            3,
-            (NormalizedMatrix(((F(1), F(1), F(1)),) + ((F(0),) * 3,) * 2),),
-        )
-        with pytest.raises(SchemeError, match="invalid scheme"):
-            decide(sym_diff_form, bad)
+        # a scheme that fails its checks cannot be built, so decide never sees one
+        with pytest.raises(SchemeError, match="invalid scheme") as exc:
+            SubdivisionScheme(
+                "bad",
+                3,
+                (NormalizedMatrix(((F(1), F(1), F(1)),) + ((F(0),) * 3,) * 2),),
+            )
+        v = exc.value.validation
+        assert not v.checks[0].nonsingular_ok
+        assert v.det_sum == 0
 
 
 class TestTraceAndDedup:

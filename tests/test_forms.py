@@ -9,7 +9,6 @@ from formsign import (
     Form,
     InhomogeneousError,
     as_fraction,
-    check_homogeneous,
     parse_form,
 )
 
@@ -247,19 +246,3 @@ class TestNormalizeContent:
             scaled.normalize_content().is_trivially_negative()
             == scaled.is_trivially_negative()
         )
-
-
-class TestCheckHomogeneous:
-    def test_valid_term_map(self):
-        f = check_homogeneous({(2, 1, 0): 1, (1, 1, 1): -1}, 3)
-        assert f.degree == 3
-
-    def test_mixed_degrees_named_in_error(self):
-        with pytest.raises(InhomogeneousError) as exc:
-            check_homogeneous({(2, 0): 1, (3, 0): 1}, 2)
-        assert exc.value.degrees == (2, 3)
-
-    def test_expanded_degree_six_example(self, sym_diff_form):
-        f = check_homogeneous(sym_diff_form.terms, 3)
-        assert f.degree == 6
-        assert len(f.terms) == 18

@@ -149,6 +149,15 @@ class TestParseErrors:
         with pytest.raises(FormSyntaxError, match="unexpected character"):
             parse_form("x $ y", "x,y")
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # 100 levels parse; 2000 parentheses or minus signs would overflow
+        # the recursive descent, so they are refused as syntax errors
+        assert parse_form("(" * 100 + "x" + ")" * 100, "x,y") == parse_form("x", "x,y")
+        assert parse_form("-" * 100 + "x", "x,y") == parse_form("x", "x,y")
+        for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x"):
+            with pytest.raises(FormSyntaxError, match="nested more than 100 levels"):
+                parse_form(text, "x,y")
+
     def test_position_reported(self):
         with pytest.raises(FormSyntaxError) as exc:
             parse_form("x^2 + w", "x,y")

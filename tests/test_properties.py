@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from formsign import (
     Branch,
     Form,
@@ -11,7 +13,9 @@ from formsign import (
     diameter_sq,
     expand_level,
     format_form,
+    make_central3_scheme,
     make_midpoint3_scheme,
+    make_star3_scheme,
     make_trisection3_scheme,
     make_wds_scheme,
     parse_form,
@@ -119,11 +123,31 @@ def test_round_trip_with_rational_coefficients():
         assert parse_form(text, NAMES[:3]) == f
 
 
-def test_expand_level_matches_public_substitution():
+# The integer kernel against the reference Form.substitute, on permutation
+# cells (wds) and on the rational, non-permutation cells of the fixed and
+# star schemes.
+KERNEL_SCHEMES = {
+    "wds3": lambda: make_wds_scheme(3),
+    "midpoint3": make_midpoint3_scheme,
+    "trisection3": make_trisection3_scheme,
+    "central3": make_central3_scheme,
+    "wds4": lambda: make_wds_scheme(4),
+    "star3_off_centre": lambda: make_star3_scheme(
+        (F(1, 2), F(1, 4), F(1, 4)),
+        (F(1, 3), F(2, 3), 0),
+        (0, F(1, 2), F(1, 2)),
+        (F(3, 4), 0, F(1, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEMES)
+def test_expand_level_matches_public_substitution(name):
     rng = random.Random(12893)
-    scheme = make_wds_scheme(3)
+    scheme = KERNEL_SCHEMES[name]()
+    n = scheme.n
     for _ in range(25):
-        f = random_form(rng, 3, rng.randint(1, 4)).normalize_content()
+        f = random_form(rng, n, rng.randint(1, 4)).normalize_content()
         if f.is_trivially_negative():
             continue
         result = expand_level([Branch(f, ())], scheme)

@@ -249,29 +249,36 @@ class TestValidation:
 
     def test_bad_column_sum_flagged(self):
         m = NormalizedMatrix(_rows("1 1", "0 1"))
-        v = validate_scheme(SubdivisionScheme("bad", 2, (m,)))
+        with pytest.raises(SchemeError, match="invalid scheme") as exc:
+            SubdivisionScheme("bad", 2, (m,))
+        v = exc.value.validation
         assert not v.ok
         assert not v.checks[0].column_sums_ok
         assert any("column" in msg for msg in v.failures())
 
     def test_negative_entry_flagged(self):
         m = NormalizedMatrix(_rows("3/2 0", "-1/2 1"))
-        v = validate_scheme(SubdivisionScheme("neg", 2, (m,)))
-        assert not v.checks[0].nonnegative_ok
+        with pytest.raises(SchemeError, match="negative entry") as exc:
+            SubdivisionScheme("neg", 2, (m,))
+        assert not exc.value.validation.checks[0].nonnegative_ok
 
     def test_singular_flagged(self):
         m = NormalizedMatrix(_rows("1/2 1/2", "1/2 1/2"))
-        v = validate_scheme(SubdivisionScheme("flat", 2, (m,)))
+        with pytest.raises(SchemeError, match="singular") as exc:
+            SubdivisionScheme("flat", 2, (m,))
+        v = exc.value.validation
         assert not v.checks[0].nonsingular_ok
         assert v.checks[0].det == 0
 
     def test_det_sum_shortfall_flagged(self, midpoint3):
-        partial = SubdivisionScheme("gap", 3, midpoint3.matrices[:3])
-        v = validate_scheme(partial)
+        with pytest.raises(SchemeError, match="do not tile") as exc:
+            SubdivisionScheme("gap", 3, midpoint3.matrices[:3])
+        v = exc.value.validation
         assert not v.det_sum_ok
         assert v.det_sum == F(3, 4)
         assert not v.ok
         assert all(c.ok for c in v.checks)
+        assert (v.name, v.n) == ("gap", 3)
 
 
 class TestConvergence:
@@ -356,12 +363,13 @@ class TestSchemeFiles:
             parse_scheme("name: q\nn: 2\nmatrix:\n1 0.5\n0 0.5\n")
 
     def test_validation_on_by_default(self):
-        # column sums are wrong, so the default parse must refuse
+        # column sums are wrong, so the parse must refuse and say why
         text = "name: q\nn: 2\nmatrix:\n1 1\n0 1\n"
-        with pytest.raises(SchemeError, match="invalid scheme"):
+        with pytest.raises(SchemeError, match="invalid scheme") as exc:
             parse_scheme(text)
-        scheme = parse_scheme(text, validate=False)
-        assert not validate_scheme(scheme).ok
+        v = exc.value.validation
+        assert not v.ok
+        assert not v.checks[0].column_sums_ok
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
