@@ -16,9 +16,8 @@ import json
 import sys
 
 from .engine import Outcome, decide, run_report
-from .forms import DimensionMismatchError, InhomogeneousError
 from .oracle import GridSpec, grid_classify
-from .parsing import FormSyntaxError, VariableContext, format_form, parse_form
+from .parsing import VariableContext, format_form, parse_form
 from .subdivision import (
     SchemeError,
     SubdivisionScheme,
@@ -67,13 +66,7 @@ def _fmt_point(point) -> str:
 def _cmd_decide(args) -> int:
     ctx = VariableContext.of(args.vars)
     form = parse_form(args.form, ctx)
-    n = args.n if args.n is not None else ctx.n
-    scheme = _resolve_scheme(args.scheme, n)
-    if scheme.n != ctx.n:
-        raise DimensionMismatchError(
-            f"scheme {scheme.name} subdivides {scheme.n} variables, "
-            f"form has {ctx.n}"
-        )
+    scheme = _resolve_scheme(args.scheme, ctx.n)
 
     on_level = None
     if args.trace:
@@ -164,15 +157,7 @@ def _cmd_analyze_scheme(args) -> int:
             f"n = {validation.n})"
         )
         for check in validation.checks:
-            notes = []
-            if not check.column_sums_ok:
-                notes.append("bad column sums")
-            if not check.nonnegative_ok:
-                notes.append("negative entries")
-            if not check.nonsingular_ok:
-                notes.append("singular")
-            suffix = " [" + ", ".join(notes) + "]" if notes else ""
-            print(f"matrix {check.index}: det {check.det}{suffix}")
+            print(f"matrix {check.index}: det {check.det}")
         print(
             f"sum |det|: {validation.det_sum}"
             + ("" if validation.det_sum_ok else " (expected 1)")
@@ -265,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="wds | midpoint3 | trisection3 | central3 | file:PATH",
     )
-    p.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="dimension for wds (defaults to the variable count)",
-    )
     p.add_argument("--max-depth", type=int, default=30)
     p.add_argument(
         "--dedup",
@@ -319,14 +298,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        FormSyntaxError,
-        InhomogeneousError,
-        DimensionMismatchError,
-        SchemeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Exponents, Form, _mul_linear
+from .forms import DimensionMismatchError, Form, _mul_linear
 from .subdivision import SubdivisionScheme, barycenter, compose
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
@@ -81,17 +81,6 @@ class LevelResult(NamedTuple):
 # per-(scheme, degree) substitution tables
 
 
-def _exponent_list(n: int, d: int) -> list[Exponents]:
-    """All exponent vectors of total degree d, descending lex order."""
-    if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _exponent_list(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
-
-
 class _Table:
     """Integer expansion columns for one scheme at one degree.
 
@@ -103,8 +92,6 @@ class _Table:
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
-        self.exponents = tuple(_exponent_list(n, degree))
-        self.index = {e: i for i, e in enumerate(self.exponents)}
         zero = (0,) * n
         self.columns = []
         for mat in scheme.matrices:
@@ -115,22 +102,28 @@ class _Table:
             images = [
                 tuple(int(v * scale) for v in row) for row in mat.rows
             ]
-            # walk degrees upward, keeping only the previous level in memory
+            # walk degrees upward, keeping only the previous level in memory;
+            # extending each monomial by e_i for i up to its first nonzero
+            # index reaches every monomial of the next degree exactly once
             prev = {zero: {zero: 1}}
-            for k in range(1, degree + 1):
+            for _ in range(degree):
                 cur = {}
-                for alpha in _exponent_list(n, k):
-                    i = next(ix for ix, e in enumerate(alpha) if e)
-                    pred = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                    cur[alpha] = _mul_linear(prev[pred], images[i])
+                for pred, expansion in prev.items():
+                    for i in range(n):
+                        alpha = pred[:i] + (pred[i] + 1,) + pred[i + 1 :]
+                        cur[alpha] = _mul_linear(expansion, images[i])
+                        if pred[i]:
+                            break
                 prev = cur
-            cols = []
-            for alpha in self.exponents:
-                expansion = prev[alpha] if degree else {zero: 1}
-                cols.append(
-                    sorted((self.index[beta], c) for beta, c in expansion.items())
-                )
-            self.columns.append(cols)
+            if not self.columns:  # every matrix reaches the same monomials
+                self.exponents = tuple(sorted(prev, reverse=True))
+                self.index = {e: i for i, e in enumerate(self.exponents)}
+            self.columns.append(
+                [
+                    sorted((self.index[beta], c) for beta, c in prev[alpha].items())
+                    for alpha in self.exponents
+                ]
+            )
 
 
 def _table_for(scheme: SubdivisionScheme, degree: int) -> _Table:
@@ -277,17 +270,18 @@ def decide(
     if not isinstance(max_depth, int) or max_depth < 1:
         raise ValueError("max_depth must be an integer >= 1")
 
+    def indefinite(depth: int, path: IndexPath, stats: RunStats) -> Verdict:
+        point = witness_point(path, scheme)
+        value = form.evaluate(point)
+        if not value < 0:
+            raise AssertionError(
+                "internal error: witness point does not evaluate negative"
+            )
+        return Verdict(Outcome.INDEFINITE, depth, stats, path, point, value)
+
     # depth 0: the input form itself may already settle it
     if form.is_trivially_negative():
-        point = barycenter(form.n)
-        return Verdict(
-            Outcome.INDEFINITE,
-            0,
-            RunStats(0, 0, 1),
-            witness_path=(),
-            witness_point=point,
-            witness_value=form.evaluate(point),
-        )
+        return indefinite(0, (), RunStats(0, 0, 1))
     if form.is_trivially_positive():
         return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
 
@@ -300,20 +294,8 @@ def decide(
         expanded += len(children) + pruned + (1 if negative is not None else 0)
         pruned_total += pruned
         if negative is not None:
-            stats = RunStats(expanded, pruned_total, peak)
-            point = witness_point(negative.path, scheme)
-            value = form.evaluate(point)
-            if not value < 0:
-                raise AssertionError(
-                    "internal error: witness point does not evaluate negative"
-                )
-            return Verdict(
-                Outcome.INDEFINITE,
-                level,
-                stats,
-                witness_path=negative.path,
-                witness_point=point,
-                witness_value=value,
+            return indefinite(
+                level, negative.path, RunStats(expanded, pruned_total, peak)
             )
         if dedup:
             children = _dedup(children)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forms import Form, _ZERO, _mul
+from .forms import Form, _mul
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -108,7 +108,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent over the token list, producing term maps directly."""
+    """Recursive descent over the token list, producing term maps directly.
+
+    Coefficients stay ints until a p/q literal brings in a Fraction; Form
+    coerces them all to Fraction at the end.
+    """
 
     def __init__(self, text: str, ctx: VariableContext):
         self.tokens = _tokenize(text)
@@ -161,7 +165,7 @@ class _Parser:
             )
         if self.peek()[0] == "-":
             self.advance()
-            value = _scale(self.unary(), Fraction(-1))
+            value = {k: -v for k, v in self.unary().items()}
         else:
             value = self.power()
         self.depth -= 1
@@ -185,7 +189,7 @@ class _Parser:
         kind, value, at = self.advance()
         n = self.ctx.n
         if kind == "NUM":
-            coeff = Fraction(value)
+            coeff = value
             # a '/' directly after an integer continues a rational literal
             if self.peek()[0] == "/":
                 self.advance()
@@ -194,7 +198,7 @@ class _Parser:
                     raise FormSyntaxError("expected an integer denominator", dat)
                 if dvalue == 0:
                     raise FormSyntaxError("zero denominator", dat)
-                coeff /= dvalue
+                coeff = Fraction(value, dvalue)
             return {(0,) * n: coeff} if coeff else {}
         if kind == "NAME":
             try:
@@ -202,7 +206,7 @@ class _Parser:
             except ValueError:
                 raise FormSyntaxError(f"unknown variable {value!r}", at) from None
             exps = tuple(1 if i == j else 0 for i in range(n))
-            return {exps: Fraction(1)}
+            return {exps: 1}
         if kind == "(":
             inner = self.expr()
             kind2, _, at2 = self.advance()
@@ -219,7 +223,7 @@ class _Parser:
 def _add(p: dict, q: dict, negate: bool = False) -> dict:
     out = dict(p)
     for k, v in q.items():
-        s = out.get(k, _ZERO) + (-v if negate else v)
+        s = out.get(k, 0) + (-v if negate else v)
         if s:
             out[k] = s
         elif k in out:
@@ -227,14 +231,8 @@ def _add(p: dict, q: dict, negate: bool = False) -> dict:
     return out
 
 
-def _scale(p: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
 def _power(p: dict, e: int, n: int) -> dict:
-    out = {(0,) * n: Fraction(1)}
+    out = {(0,) * n: 1}
     for _ in range(e):
         out = _mul(out, p)
     return out

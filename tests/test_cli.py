@@ -94,6 +94,16 @@ class TestDecideCommand:
         )
         assert code == 3
         assert "error:" in err
+        assert "form has 2 variables, scheme subdivides 3" in err
+
+    def test_n_is_not_a_decide_option(self, capsys):
+        # decide takes its dimension from --vars
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "decide", "--vars", "x,y,z", "--form", "x^2 + y^2 + z^2",
+                "--scheme", "wds", "--n", "3",
+            ])
+        assert exc.value.code == 3
 
     def test_syntax_error_exit_three(self, capsys):
         code, out, err = run(

@@ -20,7 +20,8 @@ from formsign import (
     run_report,
     witness_point,
 )
-from conftest import VARS3
+from formsign import engine
+from conftest import VARS3, all_exponents
 
 F = Fraction
 
@@ -193,6 +194,23 @@ class TestExpandLevel:
     def test_dimension_mismatch_rejected(self, wds2):
         with pytest.raises(DimensionMismatchError):
             expand_level([Branch(Form(3, {(2, 0, 0): 1, (0, 2, 0): -2}), ())], wds2)
+
+    def test_degree_zero_branch(self, wds3):
+        # every cell maps a constant to itself
+        minus_one = expand_level([Branch(Form(3, {(0, 0, 0): -1}), ())], wds3)
+        assert minus_one.negative.path == (1,)
+        assert minus_one.children == [] and minus_one.pruned == 0
+        two = expand_level([Branch(Form(3, {(0, 0, 0): 2}), ())], wds3)
+        assert two.negative is None
+        assert two.children == [] and two.pruned == 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_table_exponents_descend(n):
+    scheme = make_wds_scheme(n)
+    for d in range(7):
+        expected = tuple(sorted(all_exponents(n, d), reverse=True))
+        assert engine._Table(scheme, d).exponents == expected
 
 
 class TestWitnessPoint:

@@ -93,6 +93,14 @@ class TestParseBasics:
         assert sym_diff_form.coefficient((0, 6, 0)) == 1
         assert sym_diff_form.coefficient((1, 5, 0)) == -1
 
+    def test_multinomial_power(self):
+        f = parse_form("(x+y+z)^12", VARS3)
+        assert f.coefficient((4, 4, 4)) == 34650
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+    def test_rational_literals_cancel(self):
+        assert parse_form("2/4*x - 1/2*x + y", VARS3) == parse_form("y", VARS3)
+
     def test_nine_term_example(self, mixed_sign_form):
         assert len(mixed_sign_form.terms) == 9
         assert mixed_sign_form.coefficient((4, 1, 1)) == -2
