@@ -17,17 +17,18 @@ An empty frontier proves nonnegativity on all of T_n (every direction is
 covered by some pruned ancestor); hitting max_depth with live branches is
 inconclusive.  All arithmetic is exact.
 
-Branch forms are content normalized, so each level works on coprime integer
-coefficient vectors.  For speed the engine clears each matrix's denominators
-once (scaling a substitution matrix by a positive constant multiplies the
-image form by a positive constant, which normalization removes and no sign
-test can see) and precomputes, per scheme and degree, the expansion of every
-monomial's image as integer columns; a child is then one integer
-matrix-vector accumulation.
+Branch forms are content normalized and kept as coprime integer coefficient
+vectors; they become Forms only at the public expand_level boundary.  The
+engine clears each matrix's denominators once (scaling a substitution matrix
+by a positive constant scales the image form by a positive constant, which
+normalization removes and no sign test can see) and precomputes, per scheme
+and degree, the expansion of every monomial's image as integer columns; a
+child is then one integer matrix-vector accumulation.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -120,17 +121,21 @@ class _Table:
                 self.index = {e: i for i, e in enumerate(self.exponents)}
             self.columns.append(
                 [
-                    sorted((self.index[beta], c) for beta, c in prev[alpha].items())
+                    [(self.index[beta], c) for beta, c in prev[alpha].items()]
                     for alpha in self.exponents
                 ]
             )
 
 
+# tables live exactly as long as their scheme: scheme -> {degree: _Table}
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _table_for(scheme: SubdivisionScheme, degree: int) -> _Table:
-    table = scheme._tables.get(degree)
+    tables = _TABLES.setdefault(scheme, {})
+    table = tables.get(degree)
     if table is None:
-        table = _Table(scheme, degree)
-        scheme._tables[degree] = table
+        table = tables[degree] = _Table(scheme, degree)
     return table
 
 
@@ -138,30 +143,27 @@ def _table_for(scheme: SubdivisionScheme, degree: int) -> _Table:
 # level expansion
 
 
-def _to_items(form: Form, table: _Table) -> list[tuple[int, int]]:
-    normalized = form.normalize_content()
-    items = []
-    for exps, coeff in normalized.terms.items():
-        items.append((table.index[exps], coeff.numerator))
-    items.sort()
-    return items
-
-
-def _ints_to_form(vector: list, table: _Table, n: int, degree: int) -> Form:
-    g = 0
-    for v in vector:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    if g == 0:
-        raise AssertionError("nonzero form mapped to zero under a nonsingular matrix")
-    exps = table.exponents
-    terms = {}
-    for i, v in enumerate(vector):
-        if v:
-            terms[exps[i]] = Fraction(v // g)
-    return Form(n, terms, degree=degree)
+def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
+    """expand_level on (items, path) branches, where items lists a form's
+    content-normalized coefficients as (table column, int) pairs."""
+    size = len(table.exponents)
+    children = []
+    pruned = 0
+    for items, path in frontier:
+        for m_idx, col in enumerate(table.columns, start=1):
+            out = [0] * size
+            for j, v in items:
+                for r, c in col[j]:
+                    out[r] += c * v
+            if min(out) >= 0:
+                pruned += 1
+                continue
+            g = gcd(*out)
+            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
+            if sum(out) < 0:
+                return children, pruned, child
+            children.append(child)
+    return children, pruned, None
 
 
 def expand_level(
@@ -188,27 +190,19 @@ def expand_level(
         if b.form.degree != degree:
             raise ValueError("frontier mixes forms of different degrees")
     table = _table_for(scheme, degree)
-    size = len(table.exponents)
-    children: list[Branch] = []
-    pruned = 0
-    for branch in branches:
-        items = _to_items(branch.form, table)
-        for m_idx, col in enumerate(table.columns, start=1):
-            out = [0] * size
-            for j, v in items:
-                for r, c in col[j]:
-                    out[r] += c * v
-            path = branch.path + (m_idx,)
-            if sum(out) < 0:
-                negative = Branch(_ints_to_form(out, table, scheme.n, degree), path)
-                return LevelResult(children, pruned, negative)
-            if all(v >= 0 for v in out):
-                pruned += 1
-                continue
-            children.append(
-                Branch(_ints_to_form(out, table, scheme.n, degree), path)
-            )
-    return LevelResult(children, pruned, None)
+    index, exps = table.index, table.exponents
+    parents = []
+    for b in branches:
+        terms = b.form.normalize_content().terms
+        parents.append(([(index[e], c.numerator) for e, c in terms.items()], b.path))
+
+    def branch(child) -> Branch:
+        items, path = child
+        return Branch(Form(scheme.n, {exps[r]: v for r, v in items}, degree), path)
+
+    children, pruned, negative = _expand(parents, table)
+    negative = None if negative is None else branch(negative)
+    return LevelResult([branch(c) for c in children], pruned, negative)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +224,11 @@ def witness_point(path: Iterable[int], scheme: SubdivisionScheme) -> tuple[Fract
     return compose(matrices).apply(point)
 
 
-def _dedup(children: list[Branch]) -> list[Branch]:
-    seen = set()
-    out = []
-    for b in children:
-        if b.form not in seen:
-            seen.add(b.form)
-            out.append(b)
-    return out
+def _dedup(children: list) -> list:
+    first = {}  # keyed by coefficients; insertion order keeps the first path
+    for child in children:
+        first.setdefault(tuple(child[0]), child)
+    return list(first.values())
 
 
 def decide(
@@ -285,18 +276,18 @@ def decide(
     if form.is_trivially_positive():
         return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
 
-    frontier = [Branch(form.normalize_content(), ())]
+    table = _table_for(scheme, form.degree)
+    terms = form.normalize_content().terms
+    frontier = [([(table.index[e], c.numerator) for e, c in terms.items()], ())]
     expanded = 0
     pruned_total = 0
     peak = 1
     for level in range(1, max_depth + 1):
-        children, pruned, negative = expand_level(frontier, scheme)
+        children, pruned, negative = _expand(frontier, table)
         expanded += len(children) + pruned + (1 if negative is not None else 0)
         pruned_total += pruned
         if negative is not None:
-            return indefinite(
-                level, negative.path, RunStats(expanded, pruned_total, peak)
-            )
+            return indefinite(level, negative[1], RunStats(expanded, pruned_total, peak))
         if dedup:
             children = _dedup(children)
         peak = max(peak, len(children))

@@ -15,6 +15,7 @@ its branches from.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -192,7 +193,7 @@ class SubdivisionScheme:
     failed validate_scheme result attached, so a scheme object is valid.
     """
 
-    __slots__ = ("name", "n", "matrices", "_tables")
+    __slots__ = ("name", "n", "matrices", "__weakref__")
 
     def __init__(self, name: str, n: int, matrices: Iterable[NormalizedMatrix]):
         mats = tuple(matrices)
@@ -213,7 +214,6 @@ class SubdivisionScheme:
             raise SchemeError(
                 "invalid scheme: " + "; ".join(validation.failures()), validation
             )
-        self._tables: dict = {}  # engine substitution tables, keyed by degree
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -417,7 +417,7 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     family, so for a scheme object the result is always ok; analyze-scheme
     prints it as a per-matrix report.  Overlap beyond the volume count is
     not checked; a family that double-covers one region and misses another
-    with matching volumes will pass, as documented.
+    with matching volumes will pass (see "Scheme files" in README.md).
     """
     checks = []
     total = Fraction(0)
@@ -482,8 +482,11 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
 #     ...
 #
 # Each matrix block holds n rows of n whitespace-separated exact rationals
-# written as integers or p/q (no decimal points).  Column j of each matrix
-# is vertex j of the subsimplex.
+# written as signed or unsigned integers or p/q (no decimal points,
+# exponents or digit separators).  Column j of each matrix is vertex j of
+# the subsimplex.
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 
 def format_scheme(scheme: SubdivisionScheme) -> str:
@@ -542,12 +545,10 @@ def parse_scheme(text: str) -> SubdivisionScheme:
                 fail(lineno, f"row has {len(parts)} entries, expected {n}")
             row = []
             for tok in parts:
-                if "." in tok:
-                    fail(lineno, f"decimal notation is not allowed: {tok!r}")
-                try:
-                    row.append(Fraction(tok))
-                except (ValueError, ZeroDivisionError):
+                match = _RATIONAL.fullmatch(tok)
+                if match is None or (match[1] is not None and not int(match[1])):
                     fail(lineno, f"not a rational number: {tok!r}")
+                row.append(Fraction(tok))
             if len(matrices[-1]) >= n:
                 fail(lineno, f"matrix has more than {n} rows")
             matrices[-1].append(tuple(row))

@@ -175,6 +175,13 @@ class TestAnalyzeSchemeCommand:
         assert "valid: no" in out
         assert "problem:" in out
 
+    def test_non_ratio_literal_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "exponent.scheme"
+        path.write_text("name: e\nn: 2\nmatrix:\n1 5e-1\n0 5e-1\nmatrix:\n0 1/2\n1 1/2\n")
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", f"file:{path}")
+        assert code == 3
+        assert "line 4: not a rational number: '5e-1'" in err
+
 
 class TestSampleCommand:
     def test_negative_found_exit_one(self, capsys):

@@ -1,5 +1,6 @@
 """Unit tests for the branch-and-prune decision engine."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from formsign import (
     Branch,
     DimensionMismatchError,
     Form,
+    NormalizedMatrix,
     Outcome,
     RunStats,
     SchemeError,
@@ -138,6 +140,12 @@ class TestTraceAndDedup:
         assert plain.stats == RunStats(18, 16, 2)
         assert merged.stats == RunStats(12, 10, 1)
 
+    def test_dedup_keys_on_all_coefficients_and_keeps_the_first_path(self):
+        a = [(0, 1), (1, 2), (2, -1)]
+        b = [(0, 1), (1, 2), (2, -3)]
+        children = [(a, (1,)), (b, (2,)), (list(a), (3,)), (list(b), (4,))]
+        assert engine._dedup(children) == [(a, (1,)), (b, (2,))]
+
     def test_dedup_never_changes_the_verdict(self, wds3, mixed_sign_form):
         a = decide(mixed_sign_form, wds3)
         b = decide(mixed_sign_form, wds3, dedup=True)
@@ -207,10 +215,20 @@ class TestExpandLevel:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_table_exponents_descend(n):
-    scheme = make_wds_scheme(n)
+    scheme = SubdivisionScheme(f"id{n}", n, [NormalizedMatrix.identity(n)])
     for d in range(7):
         expected = tuple(sorted(all_exponents(n, d), reverse=True))
         assert engine._Table(scheme, d).exponents == expected
+
+
+def test_tables_live_as_long_as_their_scheme():
+    scheme = SubdivisionScheme("cache-probe", 2, make_wds_scheme(2).matrices)
+    assert not hasattr(scheme, "_tables")
+    assert engine._table_for(scheme, 3) is engine._table_for(scheme, 3)
+    assert scheme in engine._TABLES
+    del scheme
+    gc.collect()
+    assert all(s.name != "cache-probe" for s in engine._TABLES)
 
 
 class TestWitnessPoint:

@@ -1,5 +1,6 @@
 """Unit tests for matrices, schemes, validation and convergence analysis."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -280,6 +281,16 @@ class TestValidation:
         assert all(c.ok for c in v.checks)
         assert (v.name, v.n) == ("gap", 3)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="validate_scheme checks only sum |det| = 1, which a double cover passes",
+    )
+    def test_double_cover_refused(self):
+        # the half of the segment next to e1 twice, the half next to e2 never
+        half = NormalizedMatrix(_rows("1 1/2", "0 1/2"))
+        with pytest.raises(SchemeError):
+            SubdivisionScheme("double", 2, (half, half))
+
 
 class TestConvergence:
     def test_wds_ratio(self, wds3):
@@ -361,6 +372,24 @@ class TestSchemeFiles:
     def test_decimal_entries_rejected(self):
         with pytest.raises(SchemeError):
             parse_scheme("name: q\nn: 2\nmatrix:\n1 0.5\n0 0.5\n")
+
+    @pytest.mark.parametrize(
+        "token", ["5e-1", "1_0/2_0", "0.5", "1/0", "1/-2", "\u00bd", "\u0663"]
+    )
+    def test_only_integer_and_ratio_literals(self, token):
+        text = f"name: q\nn: 2\nmatrix:\n1 {token}\n0 1/2\nmatrix:\n0 1/2\n1 1/2\n"
+        message = re.escape(f"line 4: not a rational number: {token!r}")
+        with pytest.raises(SchemeError, match=message):
+            parse_scheme(text)
+
+    def test_signed_literals_accepted(self):
+        text = "name: q\nn: 2\nmatrix:\n+1 1/2\n0 +1/2\nmatrix:\n0 1/2\n1 1/2\n"
+        scheme = parse_scheme(text)
+        assert scheme.matrices[0].rows == ((1, F(1, 2)), (0, F(1, 2)))
+        # a negative entry reaches the per-matrix report
+        with pytest.raises(SchemeError, match="invalid scheme") as exc:
+            parse_scheme("name: q\nn: 2\nmatrix:\n2 -1/2\n-1 3/2\n")
+        assert not exc.value.validation.checks[0].nonnegative_ok
 
     def test_validation_on_by_default(self):
         # column sums are wrong, so the parse must refuse and say why
