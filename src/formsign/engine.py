@@ -23,7 +23,10 @@ engine clears each matrix's denominators once (scaling a substitution matrix
 by a positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
 and degree, the expansion of every monomial's image as integer columns; a
-child is then one integer matrix-vector accumulation.
+child is then one integer matrix-vector accumulation.  Cells that differ by
+a row and a column permutation (the n! cells of the barycentric scheme are
+one such class) share one set of columns, read through an input and an
+output index map, so each class is expanded once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .forms import DimensionMismatchError, Form, _mul_linear
@@ -83,48 +87,120 @@ class LevelResult(NamedTuple):
 
 
 class _Table:
-    """Integer expansion columns for one scheme at one degree.
+    """Integer expansion columns for one scheme at one degree, one set per
+    permutation class of cells.
 
-    columns[m][j] lists (row_index, coefficient) pairs: the expansion of
-    monomial `exponents[j]` under scheme matrix m with denominators cleared.
+    Suppose cell M and the class representative R satisfy
+    M[i][j] = R[sigma[i]][tau[j]].  Then F(My) = (F o P)(R(Qy)) for the
+    permutation matrices P and Q of sigma and tau, so R's expansion of each
+    monomial serves M through two index maps.  cells[m] = (columns, pin,
+    pout) for scheme matrix m: columns[j] lists (row_index, coefficient)
+    pairs, the expansion of monomial `exponents[j]` under the representative
+    with denominators cleared; input column j reads columns[pin[j]], and the
+    child's coefficient at column r is the accumulated coefficient at
+    pout[r].  A representative carries identity maps.
     """
 
-    __slots__ = ("exponents", "index", "columns")
+    __slots__ = ("exponents", "index", "cells")
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
         zero = (0,) * n
-        self.columns = []
+        images = []
         for mat in scheme.matrices:
             scale = 1
             for row in mat.rows:
                 for v in row:
                     scale = lcm(scale, v.denominator)
-            images = [
-                tuple(int(v * scale) for v in row) for row in mat.rows
-            ]
-            # walk degrees upward, keeping only the previous level in memory;
-            # extending each monomial by e_i for i up to its first nonzero
-            # index reaches every monomial of the next degree exactly once
-            prev = {zero: {zero: 1}}
-            for _ in range(degree):
-                cur = {}
-                for pred, expansion in prev.items():
-                    for i in range(n):
-                        alpha = pred[:i] + (pred[i] + 1,) + pred[i + 1 :]
-                        cur[alpha] = _mul_linear(expansion, images[i])
-                        if pred[i]:
-                            break
-                prev = cur
-            if not self.columns:  # every matrix reaches the same monomials
-                self.exponents = tuple(sorted(prev, reverse=True))
-                self.index = {e: i for i, e in enumerate(self.exponents)}
-            self.columns.append(
-                [
+            images.append(tuple(tuple(int(v * scale) for v in row) for row in mat.rows))
+        columns = {}  # representative -> its expansion columns
+        maps = {}  # permutation -> its column map, shared by the cells using it
+        self.cells = []
+        for m, (rep, sigma, tau) in enumerate(_classes(images)):
+            if rep == m:
+                # walk degrees upward, keeping only the previous level in
+                # memory; extending each monomial by e_i for i up to its first
+                # nonzero index reaches every monomial of the next degree once
+                prev = {zero: {zero: 1}}
+                for _ in range(degree):
+                    cur = {}
+                    for pred, expansion in prev.items():
+                        for i in range(n):
+                            alpha = pred[:i] + (pred[i] + 1,) + pred[i + 1 :]
+                            cur[alpha] = _mul_linear(expansion, images[m][i])
+                            if pred[i]:
+                                break
+                    prev = cur
+                if not columns:  # every matrix reaches the same monomials
+                    self.exponents = tuple(sorted(prev, reverse=True))
+                    self.index = {e: i for i, e in enumerate(self.exponents)}
+                columns[m] = [
                     [(self.index[beta], c) for beta, c in prev[alpha].items()]
                     for alpha in self.exponents
                 ]
-            )
+            for perm in (sigma, tau):
+                if perm not in maps:
+                    # column of e' where e'[perm[i]] = e[i], for each column's e
+                    moved = itemgetter(*sorted(range(n), key=perm.__getitem__))
+                    maps[perm] = [self.index[moved(e)] for e in self.exponents]
+            self.cells.append((columns[rep], maps[sigma], maps[tau]))
+
+
+def _classes(images: Sequence[tuple]) -> list[tuple[int, tuple, tuple]]:
+    """(rep, sigma, tau) per cell, with cell[i][j] == images[rep][sigma[i]][tau[j]]
+    and rep the first cell of its permutation class.
+
+    Only cells with the same sorted rows and sorted columns can match.
+    """
+    found = []
+    reps: dict[tuple, list[int]] = {}  # sorted rows, sorted columns -> representatives
+    for m, rows in enumerate(images):
+        key = tuple(
+            tuple(sorted(tuple(sorted(line)) for line in lines))
+            for lines in (rows, zip(*rows))
+        )
+        candidates = reps.setdefault(key, [])
+        for rep in candidates:
+            match = _match(rows, images[rep])
+            if match is not None:
+                found.append((rep, *match))
+                break
+        else:
+            candidates.append(m)
+            identity = tuple(range(len(rows)))
+            found.append((m, identity, identity))
+    return found
+
+
+def _match(rows: tuple, rep_rows: tuple):
+    """(sigma, tau) with rows[i][j] == rep_rows[sigma[i]][tau[j]], or None.
+
+    tau grows one column at a time, and a partial tau survives only while
+    the rows cut to its columns are a row permutation of the cell's rows
+    cut to as many columns; sigma then follows from the rows, which are
+    distinct in a nonsingular matrix.
+    """
+    n = len(rows)
+
+    def extend(tau: tuple):
+        k = len(tau)
+        cut = sorted(tuple(r[t] for t in tau) for r in rep_rows)
+        if sorted(r[:k] for r in rows) != cut:
+            return None
+        if k == n:
+            return tau
+        for t in range(n):
+            if t not in tau:
+                found = extend(tau + (t,))
+                if found is not None:
+                    return found
+        return None
+
+    tau = extend(())
+    if tau is None:
+        return None
+    row_index = {tuple(r[t] for t in tau): s for s, r in enumerate(rep_rows)}
+    return tuple(row_index[row] for row in rows), tau
 
 
 # tables live exactly as long as their scheme: scheme -> {degree: _Table}
@@ -150,14 +226,15 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
     children = []
     pruned = 0
     for items, path in frontier:
-        for m_idx, col in enumerate(table.columns, start=1):
+        for m_idx, (col, pin, pout) in enumerate(table.cells, start=1):
             out = [0] * size
             for j, v in items:
-                for r, c in col[j]:
+                for r, c in col[pin[j]]:
                     out[r] += c * v
             if min(out) >= 0:
                 pruned += 1
                 continue
+            out = [out[r] for r in pout]
             g = gcd(*out)
             child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
             if sum(out) < 0:

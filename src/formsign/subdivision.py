@@ -487,6 +487,7 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
 # the subsimplex.
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+_COUNT = re.compile(r"[0-9]+")  # str.isdigit() also accepts digits int() refuses
 
 
 def format_scheme(scheme: SubdivisionScheme) -> str:
@@ -527,7 +528,7 @@ def parse_scheme(text: str) -> SubdivisionScheme:
             if n is not None:
                 fail(lineno, "duplicate n field")
             body = line[len("n:"):].strip()
-            if not body.isdigit() or int(body) < 2:
+            if not _COUNT.fullmatch(body) or int(body) < 2:
                 fail(lineno, f"n must be an integer >= 2, got {body!r}")
             n = int(body)
         elif line == "matrix:":

@@ -8,6 +8,8 @@ import pytest
 
 from formsign import (
     Form,
+    NormalizedMatrix,
+    SubdivisionScheme,
     make_central3_scheme,
     make_midpoint3_scheme,
     make_trisection3_scheme,
@@ -72,6 +74,19 @@ def mixed_sign_form():
 @pytest.fixture(scope="session")
 def big_radical_form():
     return parse_form(BIG_RADICAL_TEXT, VARS3)
+
+
+def swapped_halves_scheme() -> SubdivisionScheme:
+    """An n = 2 scheme whose second cell is P * first * Q with both
+    permutations non-trivial."""
+    return SubdivisionScheme(
+        "swapped_halves",
+        2,
+        [
+            NormalizedMatrix(((1, Fraction(1, 2)), (0, Fraction(1, 2)))),
+            NormalizedMatrix(((Fraction(1, 2), 0), (Fraction(1, 2), 1))),
+        ],
+    )
 
 
 def all_exponents(n: int, degree: int):

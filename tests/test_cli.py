@@ -182,6 +182,13 @@ class TestAnalyzeSchemeCommand:
         assert code == 3
         assert "line 4: not a rational number: '5e-1'" in err
 
+    def test_superscript_dimension_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "superscript.scheme"
+        path.write_text("name: s\nn: \u00b2\nmatrix:\n1 1/2\n0 1/2\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", f"file:{path}")
+        assert code == 3
+        assert "line 2: n must be an integer >= 2, got '\u00b2'" in err
+
 
 class TestSampleCommand:
     def test_negative_found_exit_one(self, capsys):

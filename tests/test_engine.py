@@ -16,6 +16,10 @@ from formsign import (
     SubdivisionScheme,
     decide,
     expand_level,
+    make_central3_scheme,
+    make_midpoint3_scheme,
+    make_star3_scheme,
+    make_trisection3_scheme,
     make_wds_scheme,
     matrix_power,
     parse_form,
@@ -23,7 +27,7 @@ from formsign import (
     witness_point,
 )
 from formsign import engine
-from conftest import VARS3, all_exponents
+from conftest import VARS3, all_exponents, swapped_halves_scheme
 
 F = Fraction
 
@@ -229,6 +233,55 @@ def test_tables_live_as_long_as_their_scheme():
     del scheme
     gc.collect()
     assert all(s.name != "cache-probe" for s in engine._TABLES)
+
+
+# (scheme, expansions built): cells that differ by a row and a column
+# permutation share one expansion
+CLASS_SCHEMES = {
+    **{f"wds{n}": (lambda n=n: make_wds_scheme(n), 1) for n in range(2, 7)},
+    "midpoint3": (make_midpoint3_scheme, 2),
+    "trisection3": (make_trisection3_scheme, 3),
+    "central3": (make_central3_scheme, 1),
+    # swapping y and z fixes the centre and the edge23 point, so the two
+    # cells around edge23 form one class
+    "star3_off_centre": (
+        lambda: make_star3_scheme(
+            (F(1, 2), F(1, 4), F(1, 4)),
+            (F(1, 3), F(2, 3), 0),
+            (0, F(1, 2), F(1, 2)),
+            (F(3, 4), 0, F(1, 4)),
+        ),
+        5,
+    ),
+    "star3_asymmetric": (
+        lambda: make_star3_scheme(
+            (F(1, 2), F(1, 3), F(1, 6)),
+            (F(1, 3), F(2, 3), 0),
+            (0, F(1, 4), F(3, 4)),
+            (F(3, 5), 0, F(2, 5)),
+        ),
+        6,
+    ),
+    "swapped_halves": (swapped_halves_scheme, 1),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_SCHEMES)
+def test_one_expansion_per_permutation_class(name):
+    make, expansions = CLASS_SCHEMES[name]
+    scheme = make()
+    table = engine._Table(scheme, 2)
+    assert len(table.cells) == len(scheme)
+    assert len({id(columns) for columns, _, _ in table.cells}) == expansions
+
+
+@pytest.mark.parametrize("name", CLASS_SCHEMES)
+def test_class_maps_rebuild_every_cell(name):
+    matrices = CLASS_SCHEMES[name][0]().matrices
+    for m, (rep, sigma, tau) in enumerate(engine._classes([c.rows for c in matrices])):
+        assert rep <= m
+        rows, rep_rows = matrices[m].rows, matrices[rep].rows
+        assert rows == tuple(tuple(rep_rows[s][t] for t in tau) for s in sigma)
 
 
 class TestWitnessPoint:

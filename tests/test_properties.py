@@ -22,7 +22,7 @@ from formsign import (
     validate_scheme,
     witness_point,
 )
-from conftest import random_form, random_simplex_point
+from conftest import random_form, random_simplex_point, swapped_halves_scheme
 
 F = Fraction
 NAMES = ("u1", "u2", "u3", "u4")
@@ -138,6 +138,8 @@ KERNEL_SCHEMES = {
         (0, F(1, 2), F(1, 2)),
         (F(3, 4), 0, F(1, 4)),
     ),
+    "swapped_halves": swapped_halves_scheme,
+    "wds5": lambda: make_wds_scheme(5),
 }
 
 

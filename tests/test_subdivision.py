@@ -382,6 +382,13 @@ class TestSchemeFiles:
         with pytest.raises(SchemeError, match=message):
             parse_scheme(text)
 
+    @pytest.mark.parametrize("body", ["\u00b2", "\u0663", "+3", "3.0", "1"])
+    def test_n_must_be_an_ascii_integer_of_at_least_two(self, body):
+        text = f"name: q\nn: {body}\nmatrix:\n1 1/2\n0 1/2\n"
+        message = re.escape(f"line 2: n must be an integer >= 2, got {body!r}")
+        with pytest.raises(SchemeError, match=message):
+            parse_scheme(text)
+
     def test_signed_literals_accepted(self):
         text = "name: q\nn: 2\nmatrix:\n+1 1/2\n0 +1/2\nmatrix:\n0 1/2\n1 1/2\n"
         scheme = parse_scheme(text)
