@@ -38,7 +38,6 @@ from .parsing import (
 )
 from .subdivision import (
     ConvergenceReport,
-    MatrixCheck,
     NormalizedMatrix,
     SchemeError,
     SchemeValidation,
@@ -74,7 +73,6 @@ __all__ = [
     "IndexPath",
     "InhomogeneousError",
     "LevelResult",
-    "MatrixCheck",
     "MAX_EXPONENT",
     "NormalizedMatrix",
     "Outcome",

@@ -6,7 +6,9 @@ when the depth limit ran out first; every usage, parse or validation error
 exits 3, so exit codes above 2 never collide with a verdict.  `sample`
 exits 1 when the grid finds a negative value (a proof of indefiniteness by
 itself) and 0 otherwise.  JSON output renders every rational as a 'p/q'
-string; nothing is ever rounded.
+string; nothing is ever rounded.  Sizes the commands could not finish are
+refused up front, also with exit 3: the wds scheme above MAX_WDS_N
+variables (it has n! cells) and grids of more than MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -28,10 +30,13 @@ from .subdivision import (
     make_midpoint3_scheme,
     make_trisection3_scheme,
     make_wds_scheme,
+    save_scheme,
     validate_scheme,
 )
 
 _BUILTIN_SCHEMES = ("wds", "midpoint3", "trisection3", "central3")
+MAX_WDS_N = 7  # 5 040 cells; each further variable multiplies time and memory by n
+MAX_GRID_POINTS = 10**5  # sample evaluates the form once per point
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -44,6 +49,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
     if selector == "wds":
+        if n > MAX_WDS_N:
+            raise SchemeError(
+                f"wds with n = {n} has n! cells; the command line builds it "
+                f"for n <= {MAX_WDS_N}"
+            )
         return make_wds_scheme(n)
     if selector == "midpoint3":
         return make_midpoint3_scheme()
@@ -133,9 +143,9 @@ def _cmd_analyze_scheme(args) -> int:
         report = {
             "scheme": validation.name,
             "n": validation.n,
-            "matrices": len(validation.checks),
+            "matrices": len(validation.dets),
             "valid": validation.ok,
-            "dets": [str(c.det) for c in validation.checks],
+            "dets": [str(d) for d in validation.dets],
             "det_sum": str(validation.det_sum),
             "failures": validation.failures(),
         }
@@ -153,14 +163,14 @@ def _cmd_analyze_scheme(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(
-            f"scheme: {validation.name} ({len(validation.checks)} cells, "
+            f"scheme: {validation.name} ({len(validation.dets)} cells, "
             f"n = {validation.n})"
         )
-        for check in validation.checks:
-            print(f"matrix {check.index}: det {check.det}")
+        for index, det in enumerate(validation.dets, start=1):
+            print(f"matrix {index}: det {det}")
         print(
             f"sum |det|: {validation.det_sum}"
-            + ("" if validation.det_sum_ok else " (expected 1)")
+            + ("" if validation.det_sum == 1 else " (expected 1)")
         )
         print(f"valid: {'yes' if validation.ok else 'no'}")
         for msg in validation.failures():
@@ -184,6 +194,11 @@ def _cmd_sample(args) -> int:
     ctx = VariableContext.of(args.vars)
     form = parse_form(args.form, ctx)
     grid = GridSpec(ctx.n, args.denominator)
+    if len(grid) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the grid has {len(grid)} points, more than the maximum "
+            f"{MAX_GRID_POINTS}; use a smaller denominator"
+        )
     result = grid_classify(form, grid)
     if args.output == "json":
         print(
@@ -209,13 +224,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_gen_scheme(args) -> int:
     scheme = _resolve_scheme(args.scheme, args.n)
-    text = format_scheme(scheme)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_scheme(scheme, args.out)
         print(f"wrote {args.out}")
     else:
-        print(text, end="")
+        print(format_scheme(scheme), end="")
     return 0
 
 

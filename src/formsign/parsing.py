@@ -13,7 +13,9 @@ Multiplication is always explicit ('x y' and '2x' are errors), '/' only
 joins two integer literals into one rational constant, and exponents are
 nonnegative integers capped at 2**16.  '-1/3*x^3' therefore denotes
 (-1/3) * x**3.  Parentheses and unary minus signs nest at most 100 deep,
-so a hostile input is a syntax error rather than a blown Python stack.
+and expanding one input may multiply at most 10**6 pairs of terms, so a
+hostile input is a syntax error rather than a blown Python stack or a
+parse that runs for minutes.
 The same grammar is used for the --form command line argument; scheme
 files use their own simpler row format.
 """
@@ -23,12 +25,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .forms import Form, _mul
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
+# term pairs one parse may multiply, counted before each product or power;
+# (x+y+z)^100 takes 515 100 of them
+MAX_TERM_PAIRS = 10**6
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -120,6 +126,7 @@ class _Parser:
         # parentheses and minus signs around the factor being parsed; the
         # top-level unary call brings it to 0
         self.depth = -1
+        self.pairs = 0  # term pairs multiplied so far
         self.ctx = ctx
 
     def peek(self):
@@ -129,6 +136,18 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def charge(self, pairs: int, at: int) -> None:
+        """Add the term pairs an operator is about to multiply to the parse's
+        count, and fail at the operator's position `at` once it passes
+        MAX_TERM_PAIRS."""
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            raise FormSyntaxError(
+                f"expanding the expression multiplies more than {MAX_TERM_PAIRS} "
+                "pairs of terms",
+                at,
+            )
 
     def parse(self) -> dict:
         value = self.expr()
@@ -153,8 +172,10 @@ class _Parser:
     def term(self) -> dict:
         value = self.unary()
         while self.peek()[0] == "*":
-            self.advance()
-            value = _mul(value, self.unary())
+            _, _, star_at = self.advance()
+            rhs = self.unary()
+            self.charge(len(value) * len(rhs), star_at)
+            value = _mul(value, rhs)
         return value
 
     def unary(self) -> dict:
@@ -183,7 +204,10 @@ class _Parser:
             raise FormSyntaxError(
                 f"exponent {value} exceeds the maximum {MAX_EXPONENT}", at
             )
-        return _power(base, value, self.ctx.n)
+        n = self.ctx.n
+        for pairs in _power_step_pairs(base, value, n):
+            self.charge(pairs, caret_at)
+        return _power(base, value, n)
 
     def atom(self) -> dict:
         kind, value, at = self.advance()
@@ -229,6 +253,25 @@ def _add(p: dict, q: dict, negate: bool = False) -> dict:
         elif k in out:
             del out[k]
     return out
+
+
+def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
+    """Upper bounds on the term pairs each step of _power(p, e, n) multiplies.
+
+    Step j multiplies p^j by p's k terms, and p^j has at most
+    min(C(j+k-1, k-1), C(j*hi+n, n) - C(j*lo+n-1, n)) terms: the multisets
+    of j of p's terms, and the monomials of degree j*lo to j*hi, where lo and
+    hi are p's least and top degree.  For a sum of the n variables the
+    bounds are exact.
+    """
+    k = len(p)
+    if not k:
+        return
+    degrees = [sum(exps) for exps in p]
+    lo, hi = min(degrees), max(degrees)
+    for j in range(e):
+        monomials = comb(j * hi + n, n) - comb(j * lo + n - 1, n)
+        yield k * min(comb(j + k - 1, k - 1), monomials)
 
 
 def _power(p: dict, e: int, n: int) -> dict:

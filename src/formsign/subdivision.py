@@ -369,44 +369,19 @@ def make_star3_scheme(
 
 
 @dataclass(frozen=True)
-class MatrixCheck:
-    index: int  # 1-based position in the scheme
-    column_sums_ok: bool
-    nonnegative_ok: bool
-    nonsingular_ok: bool
-    det: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.column_sums_ok and self.nonnegative_ok and self.nonsingular_ok
-
-
-@dataclass(frozen=True)
 class SchemeValidation:
     name: str  # the scheme's name and dimension, for reports
     n: int
-    checks: tuple[MatrixCheck, ...]
+    dets: tuple[Fraction, ...]  # one per matrix, in scheme order
     det_sum: Fraction  # sum of |det| over all matrices
-    det_sum_ok: bool
+    problems: tuple[str, ...]  # one message per failed check, in check order
 
     @property
     def ok(self) -> bool:
-        return self.det_sum_ok and all(c.ok for c in self.checks)
+        return not self.problems
 
     def failures(self) -> list[str]:
-        msgs = []
-        for c in self.checks:
-            if not c.column_sums_ok:
-                msgs.append(f"matrix {c.index}: some column does not sum to 1")
-            if not c.nonnegative_ok:
-                msgs.append(f"matrix {c.index}: negative entry")
-            if not c.nonsingular_ok:
-                msgs.append(f"matrix {c.index}: singular (zero volume cell)")
-        if not self.det_sum_ok:
-            msgs.append(
-                f"cell volumes do not tile the simplex: sum |det| = {self.det_sum}, expected 1"
-            )
-        return msgs
+        return list(self.problems)
 
 
 def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
@@ -419,15 +394,23 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     not checked; a family that double-covers one region and misses another
     with matching volumes will pass (see "Scheme files" in README.md).
     """
-    checks = []
-    total = Fraction(0)
+    dets = []
+    problems = []
     for idx, m in enumerate(scheme.matrices, start=1):
-        sums_ok = all(sum(col, Fraction(0)) == 1 for col in zip(*m.rows))
-        nonneg_ok = all(v.numerator >= 0 for row in m.rows for v in row)
+        if any(sum(col, Fraction(0)) != 1 for col in zip(*m.rows)):
+            problems.append(f"matrix {idx}: some column does not sum to 1")
+        if any(v.numerator < 0 for row in m.rows for v in row):
+            problems.append(f"matrix {idx}: negative entry")
         d = m.det()
-        total += abs(d)
-        checks.append(MatrixCheck(idx, sums_ok, nonneg_ok, d != 0, d))
-    return SchemeValidation(scheme.name, scheme.n, tuple(checks), total, total == 1)
+        if not d:
+            problems.append(f"matrix {idx}: singular (zero volume cell)")
+        dets.append(d)
+    total = sum(map(abs, dets), Fraction(0))
+    if total != 1:
+        problems.append(
+            f"cell volumes do not tile the simplex: sum |det| = {total}, expected 1"
+        )
+    return SchemeValidation(scheme.name, scheme.n, tuple(dets), total, tuple(problems))
 
 
 @dataclass(frozen=True)

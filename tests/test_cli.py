@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,27 @@ class TestDecideCommand:
         assert code == 3
         assert "error: expression nested more than 100 levels deep" in err
 
+    @pytest.mark.parametrize("form", ["(x+y+z)^200", "(x+y+z)^60*(x+y+z)^60"])
+    def test_parse_work_limit_exit_three(self, capsys, form):
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y,z", "--form", form, "--scheme", "wds"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "error: expanding the expression multiplies more than" in err
+
+    def test_wds_above_seven_variables_exit_three(self, capsys):
+        start = time.process_time()
+        code, out, err = run(
+            capsys,
+            "decide", "--vars", "a,b,c,d,e,f,g,h", "--form", "a^2 - b*c",
+            "--scheme", "wds",
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "error: wds with n = 8 has n! cells" in err
+
     def test_unknown_scheme_exit_three(self, capsys):
         code, out, err = run(
             capsys,
@@ -190,6 +212,14 @@ class TestAnalyzeSchemeCommand:
         assert "line 2: n must be an integer >= 2, got '\u00b2'" in err
 
 
+    def test_wds_above_seven_exit_three(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", "wds", "--n", "8")
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "for n <= 7" in err
+
+
 class TestSampleCommand:
     def test_negative_found_exit_one(self, capsys):
         code, out, err = run(
@@ -221,6 +251,17 @@ class TestSampleCommand:
         assert report["argmin"] == ["1/4", "3/8", "3/8"]
         assert report["negative_found"] is False
         assert report["points"] == 45
+
+
+    def test_grid_above_limit_exit_three(self, capsys):
+        start = time.process_time()
+        code, out, err = run(
+            capsys,
+            "sample", "--vars", "x,y,z", "--form", "x^2 - y*z", "-D", "100000",
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "error: the grid has 5000150001 points" in err
 
 
 class TestGenSchemeCommand:

@@ -13,6 +13,7 @@ from formsign import (
     format_form,
     parse_form,
 )
+from formsign.parsing import _power, _power_step_pairs
 from conftest import MIXED_SIGN_TEXT, VARS3, random_form
 
 F = Fraction
@@ -98,6 +99,12 @@ class TestParseBasics:
         assert f.coefficient((4, 4, 4)) == 34650
         assert all(type(c) is Fraction for c in f.terms.values())
 
+    def test_power_just_under_the_work_limit_parses(self):
+        # 515 100 term pairs, about half of MAX_TERM_PAIRS
+        form = parse_form("(x+y+z)^100", VARS3)
+        assert len(form.terms) == 5151
+        assert form.terms[(34, 33, 33)] > 0
+
     def test_rational_literals_cancel(self):
         assert parse_form("2/4*x - 1/2*x + y", VARS3) == parse_form("y", VARS3)
 
@@ -124,6 +131,30 @@ class TestParseErrors:
     def test_exponent_cap(self):
         with pytest.raises(FormSyntaxError, match="exceeds the maximum 65536"):
             parse_form("x^65537", "x,y")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("(x+y+z)^200", 7), ("(x+y+z)^60*(x+y+z)^60", 10)],
+    )
+    def test_work_limit_is_a_syntax_error_at_the_operator(self, text, position):
+        with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
+            parse_form(text, VARS3)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
+            {(2, 0, 0): 1, (1, 1, 0): -2, (0, 0, 2): 3},
+            {(2, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5},  # mixed degrees
+        ],
+    )
+    def test_power_bound_covers_the_work(self, base):
+        done = [len(_power(base, j, 3)) * len(base) for j in range(12)]
+        bounds = list(_power_step_pairs(base, 12, 3))
+        assert all(b >= d for b, d in zip(bounds, done, strict=True))
+        if all(sum(e) == 1 for e in base):
+            assert bounds == done  # exact for a sum of the variables
 
     def test_negative_exponent(self):
         with pytest.raises(FormSyntaxError, match="nonnegative integer exponent"):

@@ -254,31 +254,33 @@ class TestValidation:
             SubdivisionScheme("bad", 2, (m,))
         v = exc.value.validation
         assert not v.ok
-        assert not v.checks[0].column_sums_ok
+        assert v.failures()[0] == "matrix 1: some column does not sum to 1"
         assert any("column" in msg for msg in v.failures())
 
     def test_negative_entry_flagged(self):
         m = NormalizedMatrix(_rows("3/2 0", "-1/2 1"))
         with pytest.raises(SchemeError, match="negative entry") as exc:
             SubdivisionScheme("neg", 2, (m,))
-        assert not exc.value.validation.checks[0].nonnegative_ok
+        assert "matrix 1: negative entry" in exc.value.validation.failures()
 
     def test_singular_flagged(self):
         m = NormalizedMatrix(_rows("1/2 1/2", "1/2 1/2"))
         with pytest.raises(SchemeError, match="singular") as exc:
             SubdivisionScheme("flat", 2, (m,))
         v = exc.value.validation
-        assert not v.checks[0].nonsingular_ok
-        assert v.checks[0].det == 0
+        assert "matrix 1: singular (zero volume cell)" in v.failures()
+        assert v.dets[0] == 0
 
     def test_det_sum_shortfall_flagged(self, midpoint3):
         with pytest.raises(SchemeError, match="do not tile") as exc:
             SubdivisionScheme("gap", 3, midpoint3.matrices[:3])
         v = exc.value.validation
-        assert not v.det_sum_ok
         assert v.det_sum == F(3, 4)
         assert not v.ok
-        assert all(c.ok for c in v.checks)
+        # no per-matrix problem, only the volume shortfall
+        assert v.failures() == [
+            "cell volumes do not tile the simplex: sum |det| = 3/4, expected 1"
+        ]
         assert (v.name, v.n) == ("gap", 3)
 
     @pytest.mark.xfail(
@@ -396,7 +398,7 @@ class TestSchemeFiles:
         # a negative entry reaches the per-matrix report
         with pytest.raises(SchemeError, match="invalid scheme") as exc:
             parse_scheme("name: q\nn: 2\nmatrix:\n2 -1/2\n-1 3/2\n")
-        assert not exc.value.validation.checks[0].nonnegative_ok
+        assert "matrix 1: negative entry" in exc.value.validation.failures()
 
     def test_validation_on_by_default(self):
         # column sums are wrong, so the parse must refuse and say why
@@ -405,7 +407,7 @@ class TestSchemeFiles:
             parse_scheme(text)
         v = exc.value.validation
         assert not v.ok
-        assert not v.checks[0].column_sums_ok
+        assert v.failures()[0] == "matrix 1: some column does not sum to 1"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
