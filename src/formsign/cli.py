@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .engine import Outcome, decide, run_report
 from .oracle import GridSpec, grid_classify
 from .parsing import VariableContext, format_form, parse_form
 from .subdivision import (
+    VOLUME_PROBLEM,
     SchemeError,
     SubdivisionScheme,
     check_convergence,
@@ -168,10 +170,8 @@ def _cmd_analyze_scheme(args) -> int:
         )
         for index, det in enumerate(validation.dets, start=1):
             print(f"matrix {index}: det {det}")
-        print(
-            f"sum |det|: {validation.det_sum}"
-            + ("" if validation.det_sum == 1 else " (expected 1)")
-        )
+        short = any(msg.startswith(VOLUME_PROBLEM) for msg in validation.problems)
+        print(f"sum |det|: {validation.det_sum}" + (" (expected 1)" if short else ""))
         print(f"valid: {'yes' if validation.ok else 'no'}")
         for msg in validation.failures():
             print(f"  problem: {msg}")
@@ -194,9 +194,11 @@ def _cmd_sample(args) -> int:
     ctx = VariableContext.of(args.vars)
     form = parse_form(args.form, ctx)
     grid = GridSpec(ctx.n, args.denominator)
-    if len(grid) > MAX_GRID_POINTS:
+    # len(grid) raises OverflowError past sys.maxsize; count the points directly
+    points = comb(args.denominator + ctx.n - 1, ctx.n - 1)
+    if points > MAX_GRID_POINTS:
         raise ValueError(
-            f"the grid has {len(grid)} points, more than the maximum "
+            f"the grid has {points} points, more than the maximum "
             f"{MAX_GRID_POINTS}; use a smaller denominator"
         )
     result = grid_classify(form, grid)
@@ -206,7 +208,7 @@ def _cmd_sample(args) -> int:
                 {
                     "form": format_form(form, ctx),
                     "denominator": args.denominator,
-                    "points": len(grid),
+                    "points": points,
                     "min_value": str(result.min_value),
                     "argmin": [str(v) for v in result.argmin],
                     "negative_found": result.negative_found,
@@ -216,7 +218,7 @@ def _cmd_sample(args) -> int:
         )
     else:
         print(f"form: {format_form(form, ctx)}")
-        print(f"grid: denominator {args.denominator}, {len(grid)} points")
+        print(f"grid: denominator {args.denominator}, {points} points")
         print(f"min value: {result.min_value} at {_fmt_point(result.argmin)}")
         print(f"negative found: {'yes' if result.negative_found else 'no'}")
     return 1 if result.negative_found else 0

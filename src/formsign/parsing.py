@@ -13,7 +13,8 @@ Multiplication is always explicit ('x y' and '2x' are errors), '/' only
 joins two integer literals into one rational constant, and exponents are
 nonnegative integers capped at 2**16.  '-1/3*x^3' therefore denotes
 (-1/3) * x**3.  Parentheses and unary minus signs nest at most 100 deep,
-and expanding one input may multiply at most 10**6 pairs of terms, so a
+and expanding one input may multiply at most 10**6 pairs of terms, a pair
+of large coefficients counting as several (see _pair_weight), so a
 hostile input is a syntax error rather than a blown Python stack or a
 parse that runs for minutes.
 The same grammar is used for the --form command line argument; scheme
@@ -25,7 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .forms import Form, _mul
@@ -35,6 +37,10 @@ MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
 # term pairs one parse may multiply, counted before each product or power;
 # (x+y+z)^100 takes 515 100 of them
 MAX_TERM_PAIRS = 10**6
+# products of two 64-bit words that cost about as much as one term pair's
+# loop overhead in forms._mul
+_WORD_PRODUCTS_PER_PAIR = 256
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -138,14 +144,14 @@ class _Parser:
         return tok
 
     def charge(self, pairs: int, at: int) -> None:
-        """Add the term pairs an operator is about to multiply to the parse's
-        count, and fail at the operator's position `at` once it passes
+        """Add the weighted term pairs an operator is about to multiply to the
+        parse's count, and fail at the operator's position `at` once it passes
         MAX_TERM_PAIRS."""
         self.pairs += pairs
         if self.pairs > MAX_TERM_PAIRS:
             raise FormSyntaxError(
                 f"expanding the expression multiplies more than {MAX_TERM_PAIRS} "
-                "pairs of terms",
+                "pairs of terms (a pair of large coefficients counts as several)",
                 at,
             )
 
@@ -174,7 +180,8 @@ class _Parser:
         while self.peek()[0] == "*":
             _, _, star_at = self.advance()
             rhs = self.unary()
-            self.charge(len(value) * len(rhs), star_at)
+            weight = _pair_weight(_size(value), _size(rhs))
+            self.charge(len(value) * len(rhs) * weight, star_at)
             value = _mul(value, rhs)
         return value
 
@@ -205,8 +212,11 @@ class _Parser:
                 f"exponent {value} exceeds the maximum {MAX_EXPONENT}", at
             )
         n = self.ctx.n
-        for pairs in _power_step_pairs(base, value, n):
-            self.charge(pairs, caret_at)
+        size, growth = _size(base), _growth(base)
+        for j, pairs in enumerate(_power_step_pairs(base, value, n)):
+            # step j multiplies p^j, whose coefficients have at most
+            # j * growth bits, by p's
+            self.charge(pairs * _pair_weight(j * growth, size), caret_at)
         return _power(base, value, n)
 
     def atom(self) -> dict:
@@ -272,6 +282,37 @@ def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
     for j in range(e):
         monomials = comb(j * hi + n, n) - comb(j * lo + n - 1, n)
         yield k * min(comb(j + k - 1, k - 1), monomials)
+
+
+def _size(p: dict) -> int:
+    """Bits of p's largest numerator plus bits of its largest denominator: at
+    least the bits of any one coefficient, numerator plus denominator."""
+    if not p:
+        return 0
+    coeffs = p.values()
+    return max(map(int.bit_length, map(_numerator, coeffs))) + max(
+        map(int.bit_length, map(_denominator, coeffs))
+    )
+
+
+def _growth(p: dict) -> int:
+    """Bits each further factor p adds at most to a coefficient of a power of p.
+
+    With L the least common denominator of p's coefficients c, every
+    coefficient of p^j is N / L^j with |N| <= (sum |c| * L)^j.
+    """
+    coeffs = p.values()
+    den = lcm(*map(_denominator, coeffs))
+    bound = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return bound.bit_length() + den.bit_length()
+
+
+def _pair_weight(a_bits: int, b_bits: int) -> int:
+    """How many term pairs one pair of coefficients of a_bits and b_bits bits
+    counts as: 1 plus its schoolbook product of 64-bit words, in units of
+    _WORD_PRODUCTS_PER_PAIR.  Coefficients of under 960 bits count once."""
+    words = (a_bits // 64 + 1) * (b_bits // 64 + 1)
+    return 1 + words // _WORD_PRODUCTS_PER_PAIR
 
 
 def _power(p: dict, e: int, n: int) -> dict:

@@ -384,6 +384,10 @@ class SchemeValidation:
         return list(self.problems)
 
 
+# how validate_scheme's message for a family whose volumes miss 1 begins
+VOLUME_PROBLEM = "cell volumes do not tile the simplex"
+
+
 def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     """Check every matrix (columns on the simplex, positive volume) and that
     the cell volumes sum to the whole simplex (sum of |det| equal to 1).
@@ -407,9 +411,7 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
         dets.append(d)
     total = sum(map(abs, dets), Fraction(0))
     if total != 1:
-        problems.append(
-            f"cell volumes do not tile the simplex: sum |det| = {total}, expected 1"
-        )
+        problems.append(f"{VOLUME_PROBLEM}: sum |det| = {total}, expected 1")
     return SchemeValidation(scheme.name, scheme.n, tuple(dets), total, tuple(problems))
 
 

@@ -122,13 +122,22 @@ class TestDecideCommand:
         assert code == 3
         assert "error: expression nested more than 100 levels deep" in err
 
-    @pytest.mark.parametrize("form", ["(x+y+z)^200", "(x+y+z)^60*(x+y+z)^60"])
-    def test_parse_work_limit_exit_three(self, capsys, form):
+    def test_parse_work_limit_exit_three_before_expanding(self, capsys):
         start = time.process_time()
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y,z", "--form", "(x+y+z)^200",
+            "--scheme", "wds",
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "error: expanding the expression multiplies more than" in err
+
+    @pytest.mark.parametrize("form", ["(x+y+z)^60*(x+y+z)^60", "(2^4096)^1000*x"])
+    def test_parse_work_limit_exit_three(self, capsys, form):
+        # both factors, or the base, are expanded before the refusal
         code, out, err = run(
             capsys, "decide", "--vars", "x,y,z", "--form", form, "--scheme", "wds"
         )
-        assert time.process_time() - start < 1.0
         assert code == 3
         assert "error: expanding the expression multiplies more than" in err
 
@@ -262,6 +271,15 @@ class TestSampleCommand:
         assert time.process_time() - start < 1.0
         assert code == 3
         assert "error: the grid has 5000150001 points" in err
+
+    def test_grid_past_sys_maxsize_exit_three(self, capsys):
+        # C(10**10 + 2, 2) is about 5e19 points, more than len() can return
+        code, out, err = run(
+            capsys,
+            "sample", "--vars", "x,y,z", "--form", "x^2 - y*z", "-D", "10000000000",
+        )
+        assert code == 3
+        assert "error: the grid has 50000000015000000001 points" in err
 
 
 class TestGenSchemeCommand:

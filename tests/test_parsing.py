@@ -13,7 +13,7 @@ from formsign import (
     format_form,
     parse_form,
 )
-from formsign.parsing import _power, _power_step_pairs
+from formsign.parsing import _growth, _power, _power_step_pairs, _size
 from conftest import MIXED_SIGN_TEXT, VARS3, random_form
 
 F = Fraction
@@ -142,19 +142,41 @@ class TestParseErrors:
         assert exc.value.position == position
 
     @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(2^65536)^1000*x", 9),  # one term, a 64-million-bit coefficient
+            ("(2^1000)^1500*x", 8),
+            # 100 000-bit factors, each cheap; their products grow in size
+            ("*".join(["(2^1000)^100"] * 16) + "*x", 181),
+        ],
+        ids=["power-of-power", "power", "product-chain"],
+    )
+    def test_large_coefficients_count_against_the_work_limit(self, text, position):
+        with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
+            parse_form(text, VARS3)
+        assert exc.value.position == position
+
+    def test_large_coefficient_under_the_work_limit_parses(self):
+        assert parse_form("(2^1000)^100*x", VARS3).terms == {(1, 0, 0): 2**100000}
+
+    @pytest.mark.parametrize(
         "base",
         [
             {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
             {(2, 0, 0): 1, (1, 1, 0): -2, (0, 0, 2): 3},
             {(2, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5},  # mixed degrees
+            {(1, 0, 0): F(1, 3), (0, 1, 0): F(-5, 7), (0, 0, 1): 2**70},
         ],
     )
     def test_power_bound_covers_the_work(self, base):
-        done = [len(_power(base, j, 3)) * len(base) for j in range(12)]
+        powers = [_power(base, j, 3) for j in range(12)]
+        done = [len(p) * len(base) for p in powers]
         bounds = list(_power_step_pairs(base, 12, 3))
         assert all(b >= d for b, d in zip(bounds, done, strict=True))
         if all(sum(e) == 1 for e in base):
             assert bounds == done  # exact for a sum of the variables
+        # coefficient sizes, which weight the pairs, stay under j * growth
+        assert all(_size(p) <= j * _growth(base) for j, p in enumerate(powers) if j)
 
     def test_negative_exponent(self):
         with pytest.raises(FormSyntaxError, match="nonnegative integer exponent"):
