@@ -2,13 +2,15 @@
 
 `formsign decide` exits 0 when the form is proved nonnegative on the
 nonnegative orthant, 1 when an explicit negative point was found, and 2
-when the depth limit ran out first; every usage, parse or validation error
-exits 3, so exit codes above 2 never collide with a verdict.  `sample`
-exits 1 when the grid finds a negative value (a proof of indefiniteness by
-itself) and 0 otherwise.  JSON output renders every rational as a 'p/q'
-string; nothing is ever rounded.  Sizes the commands could not finish are
-refused up front, also with exit 3: the wds scheme above MAX_WDS_N
-variables (it has n! cells) and grids of more than MAX_GRID_POINTS points.
+when the depth limit ran out first; every usage, parse or validation error,
+and any internal error, exits 3 with one `error:` line and no traceback, so
+exit codes above 2 never collide with a verdict.  `sample` exits 1 when the
+grid finds a negative value (a proof of indefiniteness by itself) and 0
+otherwise.  JSON output renders every rational as a 'p/q' string; nothing
+is ever rounded, and long numbers print in full.  Sizes the commands could
+not finish are refused up front, also with exit 3: the wds scheme above
+MAX_WDS_N variables (it has n! cells) and grids of more than
+MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from math import comb
 
 from .engine import Outcome, decide, run_report
@@ -71,6 +74,20 @@ def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
     )
 
 
+@contextmanager
+def _full_digits():
+    # str() refuses ints past sys.get_int_max_str_digits() (Python >= 3.10.7);
+    # input literals keep that bound, but a result prints in full
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
 def _fmt_point(point) -> str:
     return "(" + ", ".join(str(v) for v in point) + ")"
 
@@ -98,33 +115,34 @@ def _cmd_decide(args) -> int:
         on_level=on_level,
     )
 
-    if args.output == "json":
-        report = {
-            "form": format_form(form, ctx),
-            "variables": list(ctx.names),
-            "scheme": scheme.name,
-            "max_depth": args.max_depth,
-            "dedup": args.dedup,
-        }
-        report.update(run_report(verdict))
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"form: {format_form(form, ctx)}")
-        print(f"scheme: {scheme.name} ({len(scheme)} cells)")
-        print(f"verdict: {verdict.outcome.value}")
-        print(f"depth reached: {verdict.depth_reached}")
-        if verdict.outcome is Outcome.INDEFINITE:
-            print(f"witness path: {list(verdict.witness_path)}")
-            print(f"witness point: {_fmt_point(verdict.witness_point)}")
-            print(f"witness value: {verdict.witness_value}")
-        if verdict.outcome is Outcome.INCONCLUSIVE:
-            print(run_report(verdict)["note"])
-        s = verdict.stats
-        print(
-            f"stats: {s.branches_expanded} branches expanded, "
-            f"{s.branches_pruned_positive} pruned nonnegative, "
-            f"peak frontier {s.peak_frontier_size}"
-        )
+    with _full_digits():
+        if args.output == "json":
+            report = {
+                "form": format_form(form, ctx),
+                "variables": list(ctx.names),
+                "scheme": scheme.name,
+                "max_depth": args.max_depth,
+                "dedup": args.dedup,
+            }
+            report.update(run_report(verdict))
+            print(json.dumps(report, indent=2))
+        else:
+            print(f"form: {format_form(form, ctx)}")
+            print(f"scheme: {scheme.name} ({len(scheme)} cells)")
+            print(f"verdict: {verdict.outcome.value}")
+            print(f"depth reached: {verdict.depth_reached}")
+            if verdict.outcome is Outcome.INDEFINITE:
+                print(f"witness path: {list(verdict.witness_path)}")
+                print(f"witness point: {_fmt_point(verdict.witness_point)}")
+                print(f"witness value: {verdict.witness_value}")
+            if verdict.outcome is Outcome.INCONCLUSIVE:
+                print(run_report(verdict)["note"])
+            s = verdict.stats
+            print(
+                f"stats: {s.branches_expanded} branches expanded, "
+                f"{s.branches_pruned_positive} pruned nonnegative, "
+                f"peak frontier {s.peak_frontier_size}"
+            )
     return {Outcome.PSD: 0, Outcome.INDEFINITE: 1, Outcome.INCONCLUSIVE: 2}[
         verdict.outcome
     ]
@@ -202,25 +220,26 @@ def _cmd_sample(args) -> int:
             f"{MAX_GRID_POINTS}; use a smaller denominator"
         )
     result = grid_classify(form, grid)
-    if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "form": format_form(form, ctx),
-                    "denominator": args.denominator,
-                    "points": points,
-                    "min_value": str(result.min_value),
-                    "argmin": [str(v) for v in result.argmin],
-                    "negative_found": result.negative_found,
-                },
-                indent=2,
+    with _full_digits():
+        if args.output == "json":
+            print(
+                json.dumps(
+                    {
+                        "form": format_form(form, ctx),
+                        "denominator": args.denominator,
+                        "points": points,
+                        "min_value": str(result.min_value),
+                        "argmin": [str(v) for v in result.argmin],
+                        "negative_found": result.negative_found,
+                    },
+                    indent=2,
+                )
             )
-        )
-    else:
-        print(f"form: {format_form(form, ctx)}")
-        print(f"grid: denominator {args.denominator}, {points} points")
-        print(f"min value: {result.min_value} at {_fmt_point(result.argmin)}")
-        print(f"negative found: {'yes' if result.negative_found else 'no'}")
+        else:
+            print(f"form: {format_form(form, ctx)}")
+            print(f"grid: denominator {args.denominator}, {points} points")
+            print(f"min value: {result.min_value} at {_fmt_point(result.argmin)}")
+            print(f"negative found: {'yes' if result.negative_found else 'no'}")
     return 1 if result.negative_found else 0
 
 
@@ -257,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser(
-        "decide", parents=[], help="prove nonnegativity or find a counterexample"
+        "decide", help="prove nonnegativity or find a counterexample"
     )
     add_common_form_args(p)
     p.add_argument(
@@ -313,8 +332,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exits 1 and 2 are verdicts, so no error may reach them
+        print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
         return 3
 
 

@@ -39,8 +39,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Form, _mul_linear
-from .subdivision import SubdivisionScheme, barycenter, compose
+from .forms import DimensionMismatchError, Form, _compositions, _mul_linear
+from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
 
@@ -113,6 +113,8 @@ class _Table:
                 for v in row:
                     scale = lcm(scale, v.denominator)
             images.append(tuple(tuple(int(v * scale) for v in row) for row in mat.rows))
+        self.exponents = tuple(_compositions(degree, n))[::-1]
+        self.index = {e: i for i, e in enumerate(self.exponents)}
         columns = {}  # representative -> its expansion columns
         maps = {}  # permutation -> its column map, shared by the cells using it
         self.cells = []
@@ -131,9 +133,6 @@ class _Table:
                             if pred[i]:
                                 break
                     prev = cur
-                if not columns:  # every matrix reaches the same monomials
-                    self.exponents = tuple(sorted(prev, reverse=True))
-                    self.index = {e: i for i, e in enumerate(self.exponents)}
                 columns[m] = [
                     [(self.index[beta], c) for beta, c in prev[alpha].items()]
                     for alpha in self.exponents
@@ -289,16 +288,16 @@ def expand_level(
 def witness_point(path: Iterable[int], scheme: SubdivisionScheme) -> tuple[Fraction, ...]:
     """Map the simplex barycenter through the cells of a 1-based index path."""
     matrices = []
+    count = len(scheme.matrices)
     for i in path:
-        if not isinstance(i, int) or not 1 <= i <= len(scheme.matrices):
-            raise ValueError(
-                f"path index {i!r} out of range 1..{len(scheme.matrices)}"
-            )
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= count:
+            raise ValueError(f"path index {i!r} out of range 1..{count}")
         matrices.append(scheme.matrices[i - 1])
+    # the leaf's cell maps the barycenter first, then each ancestor's cell
     point = barycenter(scheme.n)
-    if not matrices:
-        return point
-    return compose(matrices).apply(point)
+    for m in reversed(matrices):
+        point = m.apply(point)
+    return point
 
 
 def _dedup(children: list) -> list:
@@ -335,7 +334,7 @@ def decide(
         raise DimensionMismatchError(
             f"form has {form.n} variables, scheme subdivides {scheme.n}"
         )
-    if not isinstance(max_depth, int) or max_depth < 1:
+    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise ValueError("max_depth must be an integer >= 1")
 
     def indefinite(depth: int, path: IndexPath, stats: RunStats) -> Verdict:

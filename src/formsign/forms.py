@@ -10,8 +10,9 @@ sneak into a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
@@ -211,6 +212,15 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form(n={self.n}, degree={self.degree}, terms={len(self.terms)})"
+
+
+def _compositions(total: int, n: int) -> Iterator[Exponents]:
+    """The n-tuples of nonnegative ints summing to `total`, in ascending
+    lexicographic order: stars and bars, with the n - 1 bars placed among
+    total + n - 1 slots and each part the gap between neighbouring bars."""
+    end = total + n - 1
+    for bars in combinations(range(end), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 # Sums start at int 0, so integer inputs (the engine's substitution tables)

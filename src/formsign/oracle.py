@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .forms import Form
+from .forms import Form, _compositions
 from .subdivision import NormalizedMatrix
 
 
@@ -31,26 +31,17 @@ class GridSpec:
     denominator: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not isinstance(self.denominator, int) or self.denominator < 1:
-            raise ValueError("denominator must be a positive integer")
+        for name in ("n", "denominator"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
 
     def __len__(self) -> int:
         return comb(self.denominator + self.n - 1, self.n - 1)
 
     def points(self) -> Iterator[tuple[Fraction, ...]]:
         d = self.denominator
-
-        def parts(k: int, remaining: int):
-            if k == 1:
-                yield (remaining,)
-                return
-            for first in range(remaining + 1):
-                for rest in parts(k - 1, remaining - first):
-                    yield (first,) + rest
-
-        for ints in parts(self.n, d):
+        for ints in _compositions(d, self.n):
             yield tuple(Fraction(a, d) for a in ints)
 
 

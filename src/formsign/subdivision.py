@@ -80,9 +80,7 @@ class NormalizedMatrix:
 
     @property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(self.rows[i][j] for i in range(self.n)) for j in range(self.n)
-        )
+        return tuple(zip(*self.rows))
 
     def det(self) -> Fraction:
         """Exact determinant by Gaussian elimination."""
@@ -122,17 +120,7 @@ class NormalizedMatrix:
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatchError("matrix sizes differ")
-        n = self.n
-        ocols = other.columns
-        return NormalizedMatrix(
-            tuple(
-                tuple(
-                    sum((self.rows[i][k] * ocols[j][k] for k in range(n)), Fraction(0))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        return NormalizedMatrix.from_columns(self.apply(col) for col in other.columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalizedMatrix):
@@ -149,17 +137,13 @@ class NormalizedMatrix:
 
 def diameter_sq(matrix: NormalizedMatrix) -> Fraction:
     """Largest squared Euclidean distance between two cell vertices."""
-    cols = matrix.columns
-    best = Fraction(0)
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            d = sum(
-                ((cols[a][i] - cols[b][i]) ** 2 for i in range(len(cols))),
-                Fraction(0),
-            )
-            if d > best:
-                best = d
-    return best
+    return max(
+        (
+            sum(((a - b) ** 2 for a, b in zip(p, q)), Fraction(0))
+            for p, q in itertools.combinations(matrix.columns, 2)
+        ),
+        default=Fraction(0),
+    )
 
 
 def compose(matrices: Iterable[NormalizedMatrix]) -> NormalizedMatrix:
@@ -177,10 +161,7 @@ def matrix_power(matrix: NormalizedMatrix, k: int) -> NormalizedMatrix:
     """k-fold product of a matrix with itself, k >= 1."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("power must be an integer >= 1")
-    acc = matrix
-    for _ in range(k - 1):
-        acc = acc @ matrix
-    return acc
+    return compose((matrix,) * k)
 
 
 class SubdivisionScheme:
@@ -442,10 +423,9 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
     for idx, m in enumerate(scheme.matrices, start=1):
         cols = m.columns
         units = [j for j, col in enumerate(cols) if _is_basis_vector(col)]
-        for a in range(len(units)):
-            for b in range(a + 1, len(units)):
-                if cols[units[a]] != cols[units[b]]:
-                    shared.append((idx, (units[a] + 1, units[b] + 1)))
+        for a, b in itertools.combinations(units, 2):
+            if cols[a] != cols[b]:
+                shared.append((idx, (a + 1, b + 1)))
     if shared:
         return ConvergenceReport(False, None, tuple(shared))
     ratio = max(diameter_sq(m) for m in scheme.matrices) / 2

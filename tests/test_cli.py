@@ -1,11 +1,16 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import formsign
+from formsign import cli
 from formsign.cli import main
 from conftest import MIXED_SIGN_TEXT, SYM_DIFF_TEXT
 
@@ -165,6 +170,85 @@ class TestDecideCommand:
         with pytest.raises(SystemExit) as exc:
             main(["decide", "--vars", "x,y", "--scheme", "wds"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize("exc", [OverflowError("too big"), AssertionError("broken")])
+    def test_internal_error_exit_three(self, capsys, monkeypatch, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_decide", fail)
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y", "--form", "x - y", "--scheme", "wds"
+        )
+        assert code == 3
+        assert err == f"error: {exc} ({type(exc).__name__})\n"
+
+
+# 2^20000 has 6 021 digits, past the int-to-str limit of Python >= 3.10.7
+LONG_FORM = "x - 2^20000*y"
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", None)
+
+
+def long_value() -> str:
+    with cli._full_digits():
+        return str(F(1, 2) - 2**19999)
+
+
+class TestLongNumbers:
+    def test_decide_prints_the_whole_witness_value(self, capsys):
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y", "--form", LONG_FORM, "--scheme", "wds"
+        )
+        assert code == 1
+        assert f"witness value: {long_value()}\n" in out
+
+    def test_decide_json(self, capsys):
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y", "--form", LONG_FORM, "--scheme", "wds",
+            "--output", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["witness"]["value"] == long_value()
+
+    def test_sample(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--vars", "x,y", "--form", LONG_FORM, "-D", "2"
+        )
+        assert code == 1
+        assert "negative found: yes" in out
+
+    @pytest.mark.skipif(DIGIT_LIMIT is None, reason="no int-to-str digit limit")
+    def test_long_literal_still_exit_three(self, capsys):
+        limit = DIGIT_LIMIT()
+        run(capsys, "decide", "--vars", "x,y", "--form", LONG_FORM, "--scheme", "wds")
+        assert DIGIT_LIMIT() == limit  # lifted only while the output printed
+        code, out, err = run(
+            capsys, "decide", "--vars", "x,y", "--form", "1" * 5000 + "*x - y",
+            "--scheme", "wds",
+        )
+        assert code == 3
+        assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (0, ["--vars", "x,y,z", "--form", SYM_DIFF_TEXT, "--scheme", "wds"]),
+        (1, ["--vars", "x,y,z", "--form", MIXED_SIGN_TEXT, "--scheme", "trisection3"]),
+        (2, ["--vars", "x1,x2,x3", "--form", "(x1 - x2 + x3)^2 + x2^2",
+             "--scheme", "central3", "--max-depth", "4"]),
+        (3, ["--vars", "x,y", "--form", "x +", "--scheme", "wds"]),
+    ],
+)
+def test_process_exit_codes(code, argv):
+    src = os.path.dirname(os.path.dirname(formsign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "formsign.cli", "decide", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 class TestAnalyzeSchemeCommand:

@@ -1,6 +1,7 @@
 """Unit tests for the branch-and-prune decision engine."""
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from formsign import (
     RunStats,
     SchemeError,
     SubdivisionScheme,
+    barycenter,
+    compose,
     decide,
     expand_level,
     make_central3_scheme,
@@ -103,6 +106,8 @@ class TestDecideArguments:
     def test_max_depth_validated(self, wds3, sym_diff_form):
         with pytest.raises(ValueError, match="max_depth"):
             decide(sym_diff_form, wds3, max_depth=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            decide(sym_diff_form, wds3, max_depth=True)
 
     def test_invalid_scheme_rejected(self):
         from formsign import NormalizedMatrix
@@ -303,6 +308,19 @@ class TestWitnessPoint:
             witness_point((7,), wds3)
         with pytest.raises(ValueError, match="out of range"):
             witness_point((0,), wds3)
+        with pytest.raises(ValueError, match="out of range"):
+            witness_point((True,), wds3)
+
+    @pytest.mark.parametrize("name", ["wds3", "trisection3", "star3_asymmetric"])
+    def test_matches_composed_cell(self, name):
+        # the composed matrix of the path, applied to the barycenter, is the
+        # definition the cell-by-cell mapping must reproduce
+        scheme = CLASS_SCHEMES[name][0]()
+        rng = random.Random(name)
+        for length in range(1, 13):
+            path = tuple(rng.randint(1, len(scheme)) for _ in range(length))
+            cell = compose(scheme.matrices[i - 1] for i in path)
+            assert witness_point(path, scheme) == cell.apply(barycenter(scheme.n))
 
 
 class TestCentralFanRegression:

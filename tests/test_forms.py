@@ -11,6 +11,8 @@ from formsign import (
     as_fraction,
     parse_form,
 )
+from formsign.forms import _compositions
+from conftest import all_exponents
 
 F = Fraction
 
@@ -246,3 +248,9 @@ class TestNormalizeContent:
             scaled.normalize_content().is_trivially_negative()
             == scaled.is_trivially_negative()
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compositions_list_every_exponent_vector_in_ascending_order(n):
+    for total in range(7):
+        assert list(_compositions(total, n)) == sorted(all_exponents(n, total))

@@ -47,6 +47,14 @@ class TestGridSpec:
             GridSpec(0, 4)
         with pytest.raises(ValueError):
             GridSpec(3, 0)
+        with pytest.raises(ValueError):
+            GridSpec(3, True)
+        with pytest.raises(ValueError):
+            GridSpec(True, 4)
+
+    def test_one_variable(self):
+        for d in (1, 2, 7):
+            assert list(GridSpec(1, d).points()) == [(F(1),)]
 
 
 class TestGridClassify:
