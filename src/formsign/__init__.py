@@ -22,6 +22,7 @@ from .engine import (
     witness_point,
 )
 from .forms import (
+    MAX_DIGITS,
     DimensionMismatchError,
     Exponents,
     Form,
@@ -73,6 +74,7 @@ __all__ = [
     "IndexPath",
     "InhomogeneousError",
     "LevelResult",
+    "MAX_DIGITS",
     "MAX_EXPONENT",
     "NormalizedMatrix",
     "Outcome",

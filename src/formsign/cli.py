@@ -39,7 +39,6 @@ from .subdivision import (
     validate_scheme,
 )
 
-_BUILTIN_SCHEMES = ("wds", "midpoint3", "trisection3", "central3")
 MAX_WDS_N = 7  # 5 040 cells; each further variable multiplies time and memory by n
 MAX_GRID_POINTS = 10**5  # sample evaluates the form once per point
 
@@ -52,32 +51,41 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _wds(n: int) -> SubdivisionScheme:
+    if n > MAX_WDS_N:
+        raise SchemeError(
+            f"wds with n = {n} has n! cells; the command line builds it "
+            f"for n <= {MAX_WDS_N}"
+        )
+    return make_wds_scheme(n)
+
+
+# --scheme NAME -> builder of that scheme for n variables
+_BUILTIN_SCHEMES = {
+    "wds": _wds,
+    "midpoint3": lambda n: make_midpoint3_scheme(),
+    "trisection3": lambda n: make_trisection3_scheme(),
+    "central3": lambda n: make_central3_scheme(),
+}
+
+
 def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
-    if selector == "wds":
-        if n > MAX_WDS_N:
-            raise SchemeError(
-                f"wds with n = {n} has n! cells; the command line builds it "
-                f"for n <= {MAX_WDS_N}"
-            )
-        return make_wds_scheme(n)
-    if selector == "midpoint3":
-        return make_midpoint3_scheme()
-    if selector == "trisection3":
-        return make_trisection3_scheme()
-    if selector == "central3":
-        return make_central3_scheme()
     if selector.startswith("file:"):
         return load_scheme(selector[len("file:"):])
-    raise SchemeError(
-        f"unknown scheme {selector!r} "
-        f"(choose one of {', '.join(_BUILTIN_SCHEMES)}, or file:PATH)"
-    )
+    if selector not in _BUILTIN_SCHEMES:
+        raise SchemeError(
+            f"unknown scheme {selector!r} "
+            f"(choose one of {', '.join(_BUILTIN_SCHEMES)}, or file:PATH)"
+        )
+    return _BUILTIN_SCHEMES[selector](n)
 
 
 @contextmanager
 def _full_digits():
-    # str() refuses ints past sys.get_int_max_str_digits() (Python >= 3.10.7);
-    # input literals keep that bound, but a result prints in full
+    # int() and str() refuse ints past sys.get_int_max_str_digits() (Python
+    # >= 3.10.7); the parsers bound literals themselves (forms.MAX_DIGITS),
+    # so main lifts it around every command.  In the library it still
+    # applies to printing, as in any Python library
     old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if old:
         sys.set_int_max_str_digits(0)
@@ -115,34 +123,33 @@ def _cmd_decide(args) -> int:
         on_level=on_level,
     )
 
-    with _full_digits():
-        if args.output == "json":
-            report = {
-                "form": format_form(form, ctx),
-                "variables": list(ctx.names),
-                "scheme": scheme.name,
-                "max_depth": args.max_depth,
-                "dedup": args.dedup,
-            }
-            report.update(run_report(verdict))
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"form: {format_form(form, ctx)}")
-            print(f"scheme: {scheme.name} ({len(scheme)} cells)")
-            print(f"verdict: {verdict.outcome.value}")
-            print(f"depth reached: {verdict.depth_reached}")
-            if verdict.outcome is Outcome.INDEFINITE:
-                print(f"witness path: {list(verdict.witness_path)}")
-                print(f"witness point: {_fmt_point(verdict.witness_point)}")
-                print(f"witness value: {verdict.witness_value}")
-            if verdict.outcome is Outcome.INCONCLUSIVE:
-                print(run_report(verdict)["note"])
-            s = verdict.stats
-            print(
-                f"stats: {s.branches_expanded} branches expanded, "
-                f"{s.branches_pruned_positive} pruned nonnegative, "
-                f"peak frontier {s.peak_frontier_size}"
-            )
+    if args.output == "json":
+        report = {
+            "form": format_form(form, ctx),
+            "variables": list(ctx.names),
+            "scheme": scheme.name,
+            "max_depth": args.max_depth,
+            "dedup": args.dedup,
+        }
+        report.update(run_report(verdict))
+        print(json.dumps(report, indent=2))
+    else:
+        print(f"form: {format_form(form, ctx)}")
+        print(f"scheme: {scheme.name} ({len(scheme)} cells)")
+        print(f"verdict: {verdict.outcome.value}")
+        print(f"depth reached: {verdict.depth_reached}")
+        if verdict.outcome is Outcome.INDEFINITE:
+            print(f"witness path: {list(verdict.witness_path)}")
+            print(f"witness point: {_fmt_point(verdict.witness_point)}")
+            print(f"witness value: {verdict.witness_value}")
+        if verdict.outcome is Outcome.INCONCLUSIVE:
+            print(run_report(verdict)["note"])
+        s = verdict.stats
+        print(
+            f"stats: {s.branches_expanded} branches expanded, "
+            f"{s.branches_pruned_positive} pruned nonnegative, "
+            f"peak frontier {s.peak_frontier_size}"
+        )
     return {Outcome.PSD: 0, Outcome.INDEFINITE: 1, Outcome.INCONCLUSIVE: 2}[
         verdict.outcome
     ]
@@ -220,26 +227,25 @@ def _cmd_sample(args) -> int:
             f"{MAX_GRID_POINTS}; use a smaller denominator"
         )
     result = grid_classify(form, grid)
-    with _full_digits():
-        if args.output == "json":
-            print(
-                json.dumps(
-                    {
-                        "form": format_form(form, ctx),
-                        "denominator": args.denominator,
-                        "points": points,
-                        "min_value": str(result.min_value),
-                        "argmin": [str(v) for v in result.argmin],
-                        "negative_found": result.negative_found,
-                    },
-                    indent=2,
-                )
+    if args.output == "json":
+        print(
+            json.dumps(
+                {
+                    "form": format_form(form, ctx),
+                    "denominator": args.denominator,
+                    "points": points,
+                    "min_value": str(result.min_value),
+                    "argmin": [str(v) for v in result.argmin],
+                    "negative_found": result.negative_found,
+                },
+                indent=2,
             )
-        else:
-            print(f"form: {format_form(form, ctx)}")
-            print(f"grid: denominator {args.denominator}, {points} points")
-            print(f"min value: {result.min_value} at {_fmt_point(result.argmin)}")
-            print(f"negative found: {'yes' if result.negative_found else 'no'}")
+        )
+    else:
+        print(f"form: {format_form(form, ctx)}")
+        print(f"grid: denominator {args.denominator}, {points} points")
+        print(f"min value: {result.min_value} at {_fmt_point(result.argmin)}")
+        print(f"negative found: {'yes' if result.negative_found else 'no'}")
     return 1 if result.negative_found else 0
 
 
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         required=True,
-        help="wds | midpoint3 | trisection3 | central3 | file:PATH",
+        help=" | ".join([*_BUILTIN_SCHEMES, "file:PATH"]),
     )
     p.add_argument("--max-depth", type=int, default=30)
     p.add_argument(
@@ -330,11 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # exits 1 and 2 are verdicts, so no error may reach them
-        print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
-        return 3
+    with _full_digits():
+        try:
+            return args.func(args)
+        except Exception as exc:  # exits 1 and 2 are verdicts, so no error may reach them
+            print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,9 @@ Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
+# decimal digits of the longest integer literal the form and scheme-file
+# parsers read; Python's default int-to-str limit
+MAX_DIGITS = 4300
 
 
 class DimensionMismatchError(ValueError):
@@ -63,7 +66,7 @@ class Form:
         terms: Mapping[Iterable[int], RationalLike],
         degree: int | None = None,
     ):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("a form needs at least one variable")
         clean: dict[Exponents, Fraction] = {}
         degrees: set[int] = set()

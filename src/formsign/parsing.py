@@ -12,11 +12,12 @@ Grammar (whitespace is ignored, positions are 0-based character offsets):
 Multiplication is always explicit ('x y' and '2x' are errors), '/' only
 joins two integer literals into one rational constant, and exponents are
 nonnegative integers capped at 2**16.  '-1/3*x^3' therefore denotes
-(-1/3) * x**3.  Parentheses and unary minus signs nest at most 100 deep,
-and expanding one input may multiply at most 10**6 pairs of terms, a pair
-of large coefficients counting as several (see _pair_weight), so a
-hostile input is a syntax error rather than a blown Python stack or a
-parse that runs for minutes.
+(-1/3) * x**3.  An integer literal has at most MAX_DIGITS (4300) digits,
+parentheses and unary minus signs nest at most 100 deep, and expanding
+one input may multiply at most 10**6 pairs of terms, a pair of large
+coefficients counting as several (see _pair_weight), so a hostile input
+is a syntax error rather than a blown Python stack or a parse that runs
+for minutes.
 The same grammar is used for the --form command line argument; scheme
 files use their own simpler row format.
 """
@@ -30,7 +31,7 @@ from math import comb, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .forms import Form, _mul
+from .forms import MAX_DIGITS, Form, _mul
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -106,6 +107,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             continue
         m = _INT_RE.match(text, i)
         if m:
+            if m.end() - i > MAX_DIGITS:
+                raise FormSyntaxError(f"integer literal longer than {MAX_DIGITS} digits", i)
             tokens.append(("NUM", int(m.group()), i))
             i = m.end()
             continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forms import DimensionMismatchError, RationalLike, as_fraction
+from .forms import MAX_DIGITS, DimensionMismatchError, RationalLike, as_fraction
 
 
 class SchemeError(ValueError):
@@ -37,7 +37,7 @@ class SchemeError(ValueError):
 
 def barycenter(n: int) -> tuple[Fraction, ...]:
     """The center (1/n, ..., 1/n) of the standard simplex."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
     return (Fraction(1, n),) * n
 
@@ -71,6 +71,8 @@ class NormalizedMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedMatrix":
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("n must be a positive integer")
         return cls(
             tuple(
                 tuple(Fraction(1 if i == j else 0) for j in range(n))
@@ -405,8 +407,12 @@ class ConvergenceReport:
     level, so diameters cannot go to zero; such column pairs are listed in
     `shared_edges` as (matrix index, (column, column)), 1-based.  When no
     cell keeps an edge, cells contract and `contraction_ratio_sq` holds the
-    worst squared diameter ratio per level for first-level cells (the
-    squared diameter of the standard simplex is 2).
+    largest squared diameter of a first-level cell over that of the standard
+    simplex, which is 2.  It describes level 1 only and is no bound for
+    later levels: wds3's ratio is 1/3, yet a level-2 cell reaches squared
+    diameter 13/54 > 2 * (1/3)**2.  When every cell is a scaled copy of the
+    simplex (midpoint3, trisection3), the largest level-k squared diameter
+    is exactly 2 * ratio**k.
     """
 
     convergent: bool
@@ -448,10 +454,11 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
 #
 # Each matrix block holds n rows of n whitespace-separated exact rationals
 # written as signed or unsigned integers or p/q (no decimal points,
-# exponents or digit separators).  Column j of each matrix is vertex j of
-# the subsimplex.
+# exponents or digit separators).  Every integer, in an entry or in the n:
+# field, has at most MAX_DIGITS digits.  Column j of each matrix is vertex j
+# of the subsimplex.
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 _COUNT = re.compile(r"[0-9]+")  # str.isdigit() also accepts digits int() refuses
 
 
@@ -479,6 +486,8 @@ def parse_scheme(text: str) -> SubdivisionScheme:
     def fail(lineno: int, msg: str):
         raise SchemeError(f"line {lineno}: {msg}")
 
+    too_long = f"integer literal longer than {MAX_DIGITS} digits"
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -493,6 +502,8 @@ def parse_scheme(text: str) -> SubdivisionScheme:
             if n is not None:
                 fail(lineno, "duplicate n field")
             body = line[len("n:"):].strip()
+            if _COUNT.fullmatch(body) and len(body) > MAX_DIGITS:
+                fail(lineno, too_long)
             if not _COUNT.fullmatch(body) or int(body) < 2:
                 fail(lineno, f"n must be an integer >= 2, got {body!r}")
             n = int(body)
@@ -512,7 +523,9 @@ def parse_scheme(text: str) -> SubdivisionScheme:
             row = []
             for tok in parts:
                 match = _RATIONAL.fullmatch(tok)
-                if match is None or (match[1] is not None and not int(match[1])):
+                if match is not None and any(len(d) > MAX_DIGITS for d in match.groups("")):
+                    fail(lineno, too_long)
+                if match is None or (match[2] is not None and not int(match[2])):
                     fail(lineno, f"not a rational number: {tok!r}")
                 row.append(Fraction(tok))
             if len(matrices[-1]) >= n:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,6 +22,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, **env):
+    """Run `python -m formsign.cli ARGV` with extra environment variables."""
+    src = os.path.dirname(os.path.dirname(formsign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "formsign.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 class TestDecideCommand:
@@ -229,6 +240,28 @@ class TestLongNumbers:
         assert code == 3
         assert "error:" in err
 
+    def test_long_literal_exit_three_with_the_digit_limit_off(self):
+        proc = run_process(
+            "decide", "--vars", "x,y", "--form", "1" * 5000 + "*x - y", "--scheme", "wds",
+            PYTHONINTMAXSTRDIGITS="0",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: integer literal longer than 4300 digits (at position 0) "
+            "(FormSyntaxError)\n"
+        )
+
+    def test_error_line_prints_a_long_number(self, capsys):
+        denominator = "9" * 4000
+        code, out, err = run(
+            capsys, "sample", "--vars", "x,y,z", "--form", "x", "-D", denominator
+        )
+        assert code == 3
+        with cli._full_digits():
+            points = str(comb(int(denominator) + 2, 2))
+        assert len(points) > 4300
+        assert f"error: the grid has {points} points" in err
+
 
 @pytest.mark.parametrize(
     "code, argv",
@@ -241,12 +274,7 @@ class TestLongNumbers:
     ],
 )
 def test_process_exit_codes(code, argv):
-    src = os.path.dirname(os.path.dirname(formsign.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "formsign.cli", "decide", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_process("decide", *argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
 
@@ -304,6 +332,30 @@ class TestAnalyzeSchemeCommand:
         assert code == 3
         assert "line 2: n must be an integer >= 2, got '\u00b2'" in err
 
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_invalid_scheme_with_long_determinants_reported(self, capsys, tmp_path, output):
+        # each cell's |det| has 2 501 digits and their sum more than 4 300
+        p, q = 10**2500 + 1, 10**2500 + 3
+        path = tmp_path / "long.scheme"
+        cells = "".join(f"matrix:\n1 1/{d}\n0 1/{d}\n" for d in (q, p))
+        path.write_text(f"name: long\nn: 2\n{cells}")
+        code, out, err = run(
+            capsys, "analyze-scheme", "--scheme", f"file:{path}", "--output", output
+        )
+        assert code == 3
+        assert err == ""
+        with cli._full_digits():
+            det_sum = str(F(1, p) + F(1, q))
+        assert len(det_sum) > 4300
+        if output == "json":
+            report = json.loads(out)
+            assert report["valid"] is False
+            assert report["dets"] == [f"1/{q}", f"1/{p}"]
+            assert report["det_sum"] == det_sum
+        else:
+            assert f"matrix 1: det 1/{q}\nmatrix 2: det 1/{p}\n" in out
+            assert f"sum |det|: {det_sum} (expected 1)\nvalid: no\n" in out
 
     def test_wds_above_seven_exit_three(self, capsys):
         start = time.process_time()

@@ -289,6 +289,17 @@ def test_class_maps_rebuild_every_cell(name):
         assert rows == tuple(tuple(rep_rows[s][t] for t in tau) for s in sigma)
 
 
+def test_same_sorted_lines_but_no_permutation():
+    # equal sorted rows and sorted columns, yet no row and column
+    # permutation turns one cell into the other
+    a = ((0, 0, 1), (0, 1, 1), (1, 2, 0))
+    b = ((0, 0, 1), (0, 1, 2), (1, 1, 0))
+    assert engine._match(a, b) is None
+    assert engine._match(b, a) is None
+    identity = (0, 1, 2)
+    assert engine._classes([a, b]) == [(0, identity, identity), (1, identity, identity)]
+
+
 class TestWitnessPoint:
     def test_empty_path_is_barycenter(self, wds3):
         assert witness_point((), wds3) == (F(1, 3), F(1, 3), F(1, 3))

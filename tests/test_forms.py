@@ -86,6 +86,8 @@ class TestConstruction:
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
             Form(0, {})
+        with pytest.raises(ValueError):
+            Form(True, {(1,): 1})
 
     def test_equality_and_hash(self):
         a = Form(2, {(2, 0): 1, (0, 2): -1})

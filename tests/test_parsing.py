@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from formsign import (
+    MAX_DIGITS,
     Form,
     FormSyntaxError,
     InhomogeneousError,
@@ -127,6 +128,25 @@ class TestParseErrors:
     def test_unknown_variable(self):
         with pytest.raises(FormSyntaxError, match="unknown variable 'w'"):
             parse_form("x + w", "x,y")
+
+    def test_longest_literal_parses(self):
+        big = "9" * MAX_DIGITS
+        form = parse_form(f"{big}*x - 1/{big}*y", "x,y")
+        assert form.coefficient((1, 0)) == 10**MAX_DIGITS - 1
+        assert form.coefficient((0, 1)) == F(-1, 10**MAX_DIGITS - 1)
+
+    @pytest.mark.parametrize(
+        "template, position",
+        [("{}*x", 0), ("x - 1/{}*y", 6), ("x^{}", 2), ("(x + y)*{}/7*x", 8)],
+    )
+    def test_literal_past_max_digits_fails_at_its_position(self, template, position):
+        text = template.format("1" * (MAX_DIGITS + 1))
+        with pytest.raises(FormSyntaxError) as exc:
+            parse_form(text, "x,y")
+        assert exc.value.position == position
+        assert str(exc.value) == (
+            f"integer literal longer than {MAX_DIGITS} digits (at position {position})"
+        )
 
     def test_exponent_cap(self):
         with pytest.raises(FormSyntaxError, match="exceeds the maximum 65536"):

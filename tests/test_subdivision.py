@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from formsign import (
+    MAX_DIGITS,
     DimensionMismatchError,
     NormalizedMatrix,
     SchemeError,
@@ -42,6 +43,8 @@ class TestBarycenter:
     def test_invalid(self):
         with pytest.raises(ValueError):
             barycenter(0)
+        with pytest.raises(ValueError):
+            barycenter(True)
 
 
 class TestNormalizedMatrix:
@@ -57,6 +60,11 @@ class TestNormalizedMatrix:
     def test_identity(self):
         eye = NormalizedMatrix.identity(3)
         assert eye.rows == _rows("1 0 0", "0 1 0", "0 0 1")
+
+    @pytest.mark.parametrize("n", [0, True])
+    def test_identity_invalid(self, n):
+        with pytest.raises(ValueError):
+            NormalizedMatrix.identity(n)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -317,6 +325,18 @@ class TestConvergence:
         assert report.contraction_ratio_sq is None
         assert report.shared_edges == ((1, (1, 2)), (2, (1, 2)), (3, (1, 2)))
 
+    def test_ratio_describes_level_one_only(self, wds3, midpoint3, trisection3):
+        # wds3's level-2 cells outgrow 2 * ratio^2; cells that are scaled
+        # copies of the simplex meet it exactly
+        def level_two(scheme):
+            return max(diameter_sq(a @ b) for a in scheme.matrices for b in scheme.matrices)
+
+        ratio = check_convergence(wds3).contraction_ratio_sq
+        assert level_two(wds3) == F(13, 54) > 2 * ratio**2
+        for scheme in (midpoint3, trisection3):
+            ratio = check_convergence(scheme).contraction_ratio_sq
+            assert level_two(scheme) == 2 * ratio**2
+
     def test_wds_family_convergent(self):
         for n in (2, 4, 5):
             assert check_convergence(make_wds_scheme(n)).convergent
@@ -390,6 +410,30 @@ class TestSchemeFiles:
         message = re.escape(f"line 2: n must be an integer >= 2, got {body!r}")
         with pytest.raises(SchemeError, match=message):
             parse_scheme(text)
+
+    def test_longest_literal_accepted(self):
+        q = 10**MAX_DIGITS - 1  # MAX_DIGITS nines
+        rows = (f"1 1/{q}", f"0 {q - 1}/{q}", f"1/{q} 0", f"{q - 1}/{q} 1")
+        scheme = parse_scheme("name: q\nn: 2\nmatrix:\n{}\n{}\nmatrix:\n{}\n{}\n".format(*rows))
+        assert scheme.matrices[0].rows[0][1] == F(1, q)
+        # an n: field of MAX_DIGITS digits passes its own check
+        with pytest.raises(SchemeError, match="no matrices"):
+            parse_scheme(f"name: q\nn: {'9' * MAX_DIGITS}\n")
+
+    @pytest.mark.parametrize(
+        "entry", ["{}", "-{}", "1/{}", "{}/1", "+{}/{}", "n: {}"]
+    )
+    def test_literal_past_max_digits_refused_on_its_line(self, entry):
+        long = "1" * (MAX_DIGITS + 1)
+        if entry.startswith("n:"):
+            text, line = f"name: q\n{entry.format(long)}\nmatrix:\n1 1/2\n0 1/2\n", 2
+        else:
+            token = entry.format(long, long)
+            text = f"name: q\nn: 2\nmatrix:\n1 1/2\n0 {token}\nmatrix:\n0 1/2\n1 1/2\n"
+            line = 5
+        with pytest.raises(SchemeError) as exc:
+            parse_scheme(text)
+        assert str(exc.value) == f"line {line}: integer literal longer than {MAX_DIGITS} digits"
 
     def test_signed_literals_accepted(self):
         text = "name: q\nn: 2\nmatrix:\n+1 1/2\n0 +1/2\nmatrix:\n0 1/2\n1 1/2\n"
