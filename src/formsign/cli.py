@@ -82,8 +82,7 @@ def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
 
 @contextmanager
 def _full_digits():
-    # int() and str() refuse ints past sys.get_int_max_str_digits() (Python
-    # >= 3.10.7); the parsers bound literals themselves (forms.MAX_DIGITS),
+    # str() refuses ints past sys.get_int_max_str_digits() (Python >= 3.10.7),
     # so main lifts it around every command.  In the library it still
     # applies to printing, as in any Python library
     old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit

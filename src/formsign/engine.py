@@ -35,7 +35,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -43,6 +43,10 @@ from .forms import DimensionMismatchError, Form, _compositions, _mul_linear
 from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
+
+# a substitution table's size bound: representative cells times the square of
+# the monomial count, C(d + n - 1, n - 1); wds3 reaches it past degree 43
+MAX_TABLE_ENTRIES = 10**6
 
 
 class Outcome(Enum):
@@ -113,12 +117,21 @@ class _Table:
                 for v in row:
                     scale = lcm(scale, v.denominator)
             images.append(tuple(tuple(int(v * scale) for v in row) for row in mat.rows))
+        classes = _classes(images)
+        reps = sum(rep == m for m, (rep, _, _) in enumerate(classes))
+        size = comb(degree + n - 1, n - 1)
+        if reps * size**2 > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"a degree-{degree} form on scheme {scheme.name} needs a "
+                f"substitution table of up to {reps} x {size}^2 entries, more "
+                f"than the limit {MAX_TABLE_ENTRIES}"
+            )
         self.exponents = tuple(_compositions(degree, n))[::-1]
         self.index = {e: i for i, e in enumerate(self.exponents)}
         columns = {}  # representative -> its expansion columns
         maps = {}  # permutation -> its column map, shared by the cells using it
         self.cells = []
-        for m, (rep, sigma, tau) in enumerate(_classes(images)):
+        for m, (rep, sigma, tau) in enumerate(classes):
             if rep == m:
                 # walk degrees upward, keeping only the previous level in
                 # memory; extending each monomial by e_i for i up to its first

@@ -9,6 +9,7 @@ sneak into a verdict.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -21,6 +22,11 @@ _ZERO = Fraction(0)
 # decimal digits of the longest integer literal the form and scheme-file
 # parsers read; Python's default int-to-str limit
 MAX_DIGITS = 4300
+# Python never sets its int/str digit limit below 640, so runs of at most
+# this many digits convert whatever the interpreter's limit is
+_CHUNK = 640
+# the text as_fraction reads: an optionally signed integer or p/q
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 class DimensionMismatchError(ValueError):
@@ -38,15 +44,58 @@ class InhomogeneousError(ValueError):
         )
 
 
+def _read_int(digits: str) -> int:
+    """The value of a run of ASCII decimal digits, which the caller has
+    matched; refuses more than MAX_DIGITS digits."""
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"integer literal longer than {MAX_DIGITS} digits")
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i : i + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _write_rational(value: int | Fraction) -> str:
+    """str(value), converted in runs of at most _CHUNK digits, so that the
+    text does not depend on the interpreter's digit limit."""
+
+    def digits(k: int) -> str:
+        low = []
+        while k >= 10**_CHUNK:
+            k, r = divmod(k, 10**_CHUNK)
+            low.append(f"{r:0{_CHUNK}d}")
+        return str(k) + "".join(reversed(low))
+
+    num, den = value.numerator, value.denominator
+    text = ("-" if num < 0 else "") + digits(abs(num))
+    return text if den == 1 else f"{text}/{digits(den)}"
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats.
+
+    A string must be an optionally signed integer or p/q in ASCII digits,
+    q nonzero and each integer at most MAX_DIGITS digits; else ValueError.
+    """
     if type(value) is Fraction:  # immutable, so no copy is needed
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"refusing {value!r}: only exact rationals (int, Fraction, 'p/q') are accepted"
         )
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value)
+    if match is not None:
+        sign, num, den = match.groups()
+        num = _read_int(num)
+        den = 1 if den is None else _read_int(den)
+        if den:
+            return Fraction(-num if sign == "-" else num, den)
+    raise ValueError(f"not a rational number: {value!r}")
 
 
 class Form:

@@ -31,7 +31,7 @@ from math import comb, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .forms import MAX_DIGITS, Form, _mul
+from .forms import Form, _mul, _read_int
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -107,9 +107,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             continue
         m = _INT_RE.match(text, i)
         if m:
-            if m.end() - i > MAX_DIGITS:
-                raise FormSyntaxError(f"integer literal longer than {MAX_DIGITS} digits", i)
-            tokens.append(("NUM", int(m.group()), i))
+            try:
+                tokens.append(("NUM", _read_int(m.group()), i))
+            except ValueError as exc:
+                raise FormSyntaxError(str(exc), i) from None
             i = m.end()
             continue
         m = _NAME_RE.match(text, i)

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forms import MAX_DIGITS, DimensionMismatchError, RationalLike, as_fraction
+from .forms import (
+    DimensionMismatchError,
+    RationalLike,
+    _read_int,
+    _write_rational,
+    as_fraction,
+)
 
 
 class SchemeError(ValueError):
@@ -213,7 +219,7 @@ class SubdivisionScheme:
 
 
 def _mat(*rows: str) -> NormalizedMatrix:
-    return NormalizedMatrix(tuple(tuple(Fraction(v) for v in row.split()) for row in rows))
+    return NormalizedMatrix(row.split() for row in rows)
 
 
 def make_wds_scheme(n: int) -> SubdivisionScheme:
@@ -375,11 +381,13 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     """Check every matrix (columns on the simplex, positive volume) and that
     the cell volumes sum to the whole simplex (sum of |det| equal to 1).
 
+    When those checks pass, the cells must also meet face to face (see
+    _tiling_problem), which together with the volume sum proves that they
+    tile the simplex; a valid tiling that is not face-to-face is refused.
+
     SubdivisionScheme runs this when it is built and refuses a failing
     family, so for a scheme object the result is always ok; analyze-scheme
-    prints it as a per-matrix report.  Overlap beyond the volume count is
-    not checked; a family that double-covers one region and misses another
-    with matching volumes will pass (see "Scheme files" in README.md).
+    prints it as a per-matrix report.
     """
     dets = []
     problems = []
@@ -394,8 +402,89 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
         dets.append(d)
     total = sum(map(abs, dets), Fraction(0))
     if total != 1:
-        problems.append(f"{VOLUME_PROBLEM}: sum |det| = {total}, expected 1")
+        problems.append(
+            f"{VOLUME_PROBLEM}: sum |det| = {_write_rational(total)}, expected 1"
+        )
+    if not problems:
+        problem = _tiling_problem(scheme.matrices, dets)
+        if problem is not None:
+            problems.append(problem)
     return SchemeValidation(scheme.name, scheme.n, tuple(dets), total, tuple(problems))
+
+
+def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fraction]):
+    """Why nonsingular cells on the simplex whose volumes sum to 1 may not
+    tile it, or None when they tile it face to face.
+
+    A facet of a cell is its vertex set without one column.  One whose
+    vertices share a zero coordinate lies on the simplex's boundary.  Every
+    other facet must belong to exactly two cells whose opposite vertices
+    lie on opposite sides of it.  Then the number of cells over a point
+    does not change across any facet, so it is constant almost everywhere,
+    and sum |det| = 1 makes it 1.  The side of a cell's opposite vertex is
+    sign(det) times the parity of the column order that lists the sorted
+    facet first.  Only the first failing facet is reported.
+    """
+    # vertices are numbered by their (numerator, denominator) pairs, which
+    # hash far faster than Fractions; a facet is its sorted vertex numbers
+    ids: dict[tuple, int] = {}
+    vertices = []
+    facets: dict[tuple, list] = {}  # facet -> [(cell, side)]
+    for idx, (m, d) in enumerate(zip(matrices, dets), start=1):
+        cols = m.columns
+        n = len(cols)
+        keys = [tuple((x.numerator, x.denominator) for x in col) for col in cols]
+        vs = []
+        for col, key in zip(cols, keys):
+            v = ids.setdefault(key, len(ids))
+            if v == len(vertices):
+                vertices.append(col)
+            vs.append(v)
+        order = sorted(range(n), key=vs.__getitem__)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+        sign = (1 if d > 0 else -1) * (-1) ** inversions
+        # the facet without column j lies on the boundary when j is the one
+        # column nonzero in some row
+        supports = ([j for j in range(n) if keys[j][i][0]] for i in range(n))
+        boundary = {nz[0] for nz in supports if len(nz) == 1}
+        for k, j in enumerate(order):
+            if j not in boundary:
+                facet = tuple(vs[i] for i in order if i != j)
+                facets.setdefault(facet, []).append((idx, sign * (-1) ** (n - 1 - k)))
+    for facet, cells in facets.items():
+        if len(cells) == 2 and cells[0][1] != cells[1][1]:
+            continue
+        where = ", ".join(
+            "(" + ", ".join(map(_write_rational, vertices[v])) + ")" for v in facet
+        )
+        for side in (1, -1):
+            same = [c for c, s in cells if s == side]
+            if len(same) > 1:
+                return f"cells {same[0]} and {same[1]} overlap at the facet {where}"
+        i = cells[0][0]  # the facet's one cell
+        center = tuple(sum(c) / len(facet) for c in zip(*(vertices[v] for v in facet)))
+        for j, (m, d) in enumerate(zip(matrices, dets), start=1):
+            if j != i and _contains(m, d, center):
+                return (
+                    f"cells {i} and {j} are not face-to-face at {where}; "
+                    "only face-to-face tilings are verified"
+                )
+        return (
+            f"no cell lies beyond cell {i} at the facet {where}, so with "
+            "sum |det| = 1 some cells overlap"
+        )
+    return None
+
+
+def _contains(m: NormalizedMatrix, d: Fraction, point: tuple) -> bool:
+    # Cramer's rule: the barycentric coordinate k of point in the cell is
+    # det(m with column k replaced by point) / d
+    cols = list(m.columns)
+    for k in range(len(cols)):
+        x = NormalizedMatrix.from_columns(cols[:k] + [point] + cols[k + 1 :]).det()
+        if x and (x > 0) != (d > 0):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -454,11 +543,10 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
 #
 # Each matrix block holds n rows of n whitespace-separated exact rationals
 # written as signed or unsigned integers or p/q (no decimal points,
-# exponents or digit separators).  Every integer, in an entry or in the n:
-# field, has at most MAX_DIGITS digits.  Column j of each matrix is vertex j
-# of the subsimplex.
+# exponents or digit separators; as_fraction reads them).  Every integer, in
+# an entry or in the n: field, has at most MAX_DIGITS digits.  Column j of
+# each matrix is vertex j of the subsimplex.
 
-_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 _COUNT = re.compile(r"[0-9]+")  # str.isdigit() also accepts digits int() refuses
 
 
@@ -486,8 +574,6 @@ def parse_scheme(text: str) -> SubdivisionScheme:
     def fail(lineno: int, msg: str):
         raise SchemeError(f"line {lineno}: {msg}")
 
-    too_long = f"integer literal longer than {MAX_DIGITS} digits"
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -502,11 +588,12 @@ def parse_scheme(text: str) -> SubdivisionScheme:
             if n is not None:
                 fail(lineno, "duplicate n field")
             body = line[len("n:"):].strip()
-            if _COUNT.fullmatch(body) and len(body) > MAX_DIGITS:
-                fail(lineno, too_long)
-            if not _COUNT.fullmatch(body) or int(body) < 2:
+            try:
+                n = _read_int(body) if _COUNT.fullmatch(body) else None
+            except ValueError as exc:
+                fail(lineno, str(exc))
+            if n is None or n < 2:
                 fail(lineno, f"n must be an integer >= 2, got {body!r}")
-            n = int(body)
         elif line == "matrix:":
             if n is None:
                 fail(lineno, "n must be declared before the first matrix")
@@ -520,17 +607,13 @@ def parse_scheme(text: str) -> SubdivisionScheme:
             parts = line.split()
             if len(parts) != n:
                 fail(lineno, f"row has {len(parts)} entries, expected {n}")
-            row = []
-            for tok in parts:
-                match = _RATIONAL.fullmatch(tok)
-                if match is not None and any(len(d) > MAX_DIGITS for d in match.groups("")):
-                    fail(lineno, too_long)
-                if match is None or (match[2] is not None and not int(match[2])):
-                    fail(lineno, f"not a rational number: {tok!r}")
-                row.append(Fraction(tok))
+            try:
+                row = tuple(map(as_fraction, parts))
+            except ValueError as exc:
+                fail(lineno, str(exc))
             if len(matrices[-1]) >= n:
                 fail(lineno, f"matrix has more than {n} rows")
-            matrices[-1].append(tuple(row))
+            matrices[-1].append(row)
 
     if name is None:
         raise SchemeError("missing name field")

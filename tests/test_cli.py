@@ -168,6 +168,17 @@ class TestDecideCommand:
         assert code == 3
         assert "error: wds with n = 8 has n! cells" in err
 
+    def test_table_past_its_bound_exit_three(self, capsys):
+        start = time.process_time()
+        code, out, err = run(
+            capsys,
+            "decide", "--vars", "x,y,z", "--form", "x^60 - 2*y^60 + z^60",
+            "--scheme", "wds", "--max-depth", "3",
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert "degree-60 form on scheme wds3" in err
+
     def test_unknown_scheme_exit_three(self, capsys):
         code, out, err = run(
             capsys,
@@ -317,6 +328,20 @@ class TestAnalyzeSchemeCommand:
         assert code == 3
         assert "valid: no" in out
         assert "problem:" in out
+
+    def test_double_cover_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "double.scheme"
+        path.write_text("name: double\nn: 2\n" + "matrix:\n1 1/2\n0 1/2\n" * 2)
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", f"file:{path}")
+        assert code == 3
+        assert "sum |det|: 1\nvalid: no\n" in out
+        assert "problem: cells 1 and 2 overlap at the facet (1/2, 1/2)" in out
+        code, out, err = run(
+            capsys,
+            "decide", "--vars", "x,y", "--form", "3*x - y", "--scheme", f"file:{path}",
+        )
+        assert code == 3
+        assert "overlap" in err
 
     def test_non_ratio_literal_exit_three(self, capsys, tmp_path):
         path = tmp_path / "exponent.scheme"

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,18 @@ class TestDecideArguments:
             decide(sym_diff_form, wds3, max_depth=0)
         with pytest.raises(ValueError, match="max_depth"):
             decide(sym_diff_form, wds3, max_depth=True)
+
+    def test_table_past_its_bound_refused_at_once(self, wds3):
+        # refused before any expansion: the table would hold 1 x 1891^2 entries
+        form = parse_form("x^60 - 2*y^60 + z^60", VARS3)
+        start = time.process_time()
+        with pytest.raises(ValueError) as exc:
+            decide(form, wds3, max_depth=3)
+        assert time.process_time() - start < 1.0
+        assert str(exc.value) == (
+            "a degree-60 form on scheme wds3 needs a substitution table of up to "
+            f"1 x 1891^2 entries, more than the limit {engine.MAX_TABLE_ENTRIES}"
+        )
 
     def test_invalid_scheme_rejected(self):
         from formsign import NormalizedMatrix

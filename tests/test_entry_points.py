@@ -1,5 +1,5 @@
-"""Property tests: decide agrees with its public single steps and is
-invariant under dedup and positive scaling."""
+"""Property tests: decide agrees with its public single steps, is invariant
+under dedup and positive scaling, and commutes with renaming variables."""
 
 from dataclasses import replace
 
@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from formsign import (
     Branch,
     Form,
+    NormalizedMatrix,
     Outcome,
     RunStats,
+    SubdivisionScheme,
     decide,
     expand_level,
     make_midpoint3_scheme,
+    make_trisection3_scheme,
     make_wds_scheme,
 )
 from conftest import all_exponents
 
 SCHEMES = {"wds3": make_wds_scheme(3), "midpoint3": make_midpoint3_scheme()}
+TRISECTION3 = make_trisection3_scheme()
 MAX_DEPTH = 4
 EXAMPLES = settings(derandomize=True, deadline=None, database=None)
 
@@ -89,3 +93,29 @@ def test_positive_scaling_keeps_verdict(form, name, k):
     assert replace(scaled, witness_value=None) == replace(plain, witness_value=None)
     if plain.witness_value is not None:
         assert scaled.witness_value == k * plain.witness_value
+
+
+def move(v, pi):
+    """v with entry i moved to position pi[i]."""
+    out = [None] * len(v)
+    for i, x in enumerate(v):
+        out[pi[i]] = x
+    return tuple(out)
+
+
+@EXAMPLES
+@given(forms(), st.sampled_from([*SCHEMES, "trisection3"]), st.permutations(range(3)))
+def test_renaming_variables_with_the_scheme_moves_only_the_witness(form, name, pi):
+    # variable i of the form becomes variable pi[i], and every cell is
+    # conjugated alike: M'[pi[i]][pi[j]] = M[i][j]
+    scheme = SCHEMES.get(name, TRISECTION3)
+    cells = (
+        NormalizedMatrix(move([move(r, pi) for r in m.rows], pi)) for m in scheme.matrices
+    )
+    renamed_scheme = SubdivisionScheme(name, 3, cells)
+    renamed = Form(3, {move(e, pi): c for e, c in form.terms.items()})
+    plain = decide(form, scheme, max_depth=MAX_DEPTH)
+    moved = decide(renamed, renamed_scheme, max_depth=MAX_DEPTH)
+    assert replace(moved, witness_point=None) == replace(plain, witness_point=None)
+    if plain.witness_point is not None:
+        assert moved.witness_point == move(plain.witness_point, pi)

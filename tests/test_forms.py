@@ -1,17 +1,19 @@
 """Unit tests for the exact polynomial core."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from formsign import (
+    MAX_DIGITS,
     DimensionMismatchError,
     Form,
     InhomogeneousError,
     as_fraction,
     parse_form,
 )
-from formsign.forms import _compositions
+from formsign.forms import _compositions, _write_rational
 from conftest import all_exponents
 
 F = Fraction
@@ -34,6 +36,38 @@ class TestAsFraction:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_fraction(True)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e-1", "1_000", " 3 ", "1/0", "1/-2", "\u00bd", "\u0663", "", "/2"]
+    )
+    def test_only_integers_and_ratios_are_read(self, text):
+        with pytest.raises(ValueError) as exc:
+            as_fraction(text)
+        assert str(exc.value) == f"not a rational number: {text!r}"
+
+    def test_exponent_refused_without_expanding_it(self):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="not a rational number"):
+            as_fraction("1e2000000")
+        assert time.process_time() - start < 0.1
+
+    def test_longest_integers_read(self):
+        # read in runs of at most 640 digits, so no interpreter limit applies
+        big = "9" * MAX_DIGITS
+        assert as_fraction(f"-1/{big}") == F(-1, 10**MAX_DIGITS - 1)
+        assert as_fraction("+" + "1" * 641) == (10**641 - 1) // 9
+        with pytest.raises(ValueError, match=f"longer than {MAX_DIGITS} digits"):
+            as_fraction("1" * (MAX_DIGITS + 1))
+        with pytest.raises(ValueError, match=f"longer than {MAX_DIGITS} digits"):
+            as_fraction(f"1/{big}9")
+
+    def test_long_fractions_written_in_full(self):
+        # a 5 001-digit denominator, checked against arithmetic, not str()
+        value = F(-3, 10**5000 + 7)
+        text = _write_rational(value)
+        assert text == "-3/1" + "0" * 4999 + "7"
+        assert _write_rational(10**1280) == "1" + "0" * 1280
+        assert _write_rational(F(2, 3)) == "2/3"
 
 
 class TestConstruction:

@@ -1,7 +1,12 @@
 """Property tests: the form grammar and the scheme-file grammar refuse every
 bad input with their own error types, including literals longer than
-MAX_DIGITS, which the command line turns into exit 3."""
+MAX_DIGITS, which the command line turns into exit 3; as_fraction reads
+exactly the entries scheme files accept."""
 
+import re
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +15,7 @@ from formsign import (
     FormSyntaxError,
     InhomogeneousError,
     SchemeError,
+    as_fraction,
     parse_form,
     parse_scheme,
 )
@@ -36,6 +42,19 @@ scheme_lines = st.one_of(
     ),
     st.lists(entries, min_size=1, max_size=3).map(" ".join),
 )
+# entries, plus near misses: signs, separators, decimal points and exponents
+numbers = st.one_of(
+    entries,
+    st.builds(
+        lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+        st.sampled_from(["", "+", "-", " ", "--"]),
+        st.text("0123456789_.e ", max_size=6),
+        st.none() | st.text("0123456789_-", max_size=4),
+    ),
+)
+# the entries scheme files have accepted since they bounded their literals
+ENTRY = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
+
 # half the texts open with a header that lets the next lines be matrix rows
 scheme_texts = st.builds(
     lambda head, lines: "\n".join([head, *lines]),
@@ -60,3 +79,22 @@ def test_scheme_grammar_raises_only_scheme_errors(text):
         parse_scheme(text)
     except SchemeError:
         pass
+
+
+def scheme_entry(text: str) -> bool:
+    match = ENTRY.fullmatch(text)
+    return (
+        match is not None
+        and all(len(d) <= MAX_DIGITS for d in match.groups(""))
+        and (match[2] is None or int(match[2]) != 0)
+    )
+
+
+@EXAMPLES
+@given(numbers)
+def test_as_fraction_reads_exactly_the_scheme_entries(text):
+    if scheme_entry(text):
+        assert as_fraction(text) == Fraction(text)
+    else:
+        with pytest.raises(ValueError):
+            as_fraction(text)

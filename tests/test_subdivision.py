@@ -291,15 +291,67 @@ class TestValidation:
         ]
         assert (v.name, v.n) == ("gap", 3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="validate_scheme checks only sum |det| = 1, which a double cover passes",
-    )
     def test_double_cover_refused(self):
         # the half of the segment next to e1 twice, the half next to e2 never
         half = NormalizedMatrix(_rows("1 1/2", "0 1/2"))
         with pytest.raises(SchemeError):
             SubdivisionScheme("double", 2, (half, half))
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # the double cover of test_double_cover_refused
+            ((("1 1/2", "0 1/2"),) * 2, "cells 1 and 2 overlap at the facet (1/2, 1/2)"),
+            # (e1, e2, m23), (e1, p, e3), (p, m23, e3) with p = (1/2, 1/4, 1/4):
+            # cell 1's edge e1-m23 is split at p, a valid tiling that is not
+            # face-to-face, which is all the check can verify
+            (
+                (
+                    ("1 0 0", "0 1 1/2", "0 0 1/2"),
+                    ("1 1/2 0", "0 1/4 0", "0 1/4 1"),
+                    ("1/2 0 0", "1/4 1/2 0", "1/4 1/2 1"),
+                ),
+                "cells 1 and 2 are not face-to-face at (1, 0, 0), (0, 1/2, 1/2); "
+                "only face-to-face tilings are verified",
+            ),
+            # the second cell overlaps the first and leaves [0, 1/4] uncovered
+            (
+                (("1 1/2", "0 1/2"), ("3/4 1/4", "1/4 3/4")),
+                "cells 1 and 2 are not face-to-face at (1/2, 1/2); "
+                "only face-to-face tilings are verified",
+            ),
+            # the quarter next to e1 twice, nothing beyond the half next to it
+            (
+                (("1 1/2", "0 1/2"), ("1 3/4", "0 1/4"), ("1 3/4", "0 1/4")),
+                "no cell lies beyond cell 1 at the facet (1/2, 1/2), "
+                "so with sum |det| = 1 some cells overlap",
+            ),
+        ],
+    )
+    def test_volumes_summing_to_one_without_a_tiling_refused(self, cells, message):
+        mats = [NormalizedMatrix(_rows(*rows)) for rows in cells]
+        with pytest.raises(SchemeError) as exc:
+            SubdivisionScheme("cells", len(cells[0]), mats)
+        v = exc.value.validation
+        assert v.det_sum == 1
+        assert v.failures() == [message]
+
+    def test_long_volume_sum_reported_in_full(self):
+        # each cell's |det| has 2 501 digits and their sum more than 4 300; the
+        # text is built without str() of a long int, so this also runs under
+        # Python's lowest int-to-str digit limit
+        zeros = "0" * 2499
+        p, q = 10**2500 + 1, 10**2500 + 3
+        cells = "".join(f"matrix:\n1 1/1{zeros}{d}\n0 1/1{zeros}{d}\n" for d in (3, 1))
+        with pytest.raises(SchemeError) as exc:
+            parse_scheme(f"name: long\nn: 2\n{cells}")
+        v = exc.value.validation
+        assert v.det_sum == F(1, p) + F(1, q) == F(2 * 10**2500 + 4, p * q)
+        # (2*10^2500 + 4) / (10^5000 + 4*10^2500 + 3), already in lowest terms
+        det_sum = f"2{zeros}4/1{zeros}4{zeros}3"
+        assert v.failures()[-1] == (
+            f"cell volumes do not tile the simplex: sum |det| = {det_sum}, expected 1"
+        )
 
 
 class TestConvergence:
@@ -412,10 +464,13 @@ class TestSchemeFiles:
             parse_scheme(text)
 
     def test_longest_literal_accepted(self):
-        q = 10**MAX_DIGITS - 1  # MAX_DIGITS nines
-        rows = (f"1 1/{q}", f"0 {q - 1}/{q}", f"1/{q} 0", f"{q - 1}/{q} 1")
+        # the text is built without str() of a long int, so this also runs
+        # under Python's lowest int-to-str digit limit
+        q = "9" * MAX_DIGITS
+        p = q[:-1] + "8"  # q - 1
+        rows = (f"1 1/{q}", f"0 {p}/{q}", f"1/{q} 0", f"{p}/{q} 1")
         scheme = parse_scheme("name: q\nn: 2\nmatrix:\n{}\n{}\nmatrix:\n{}\n{}\n".format(*rows))
-        assert scheme.matrices[0].rows[0][1] == F(1, q)
+        assert scheme.matrices[0].rows[0][1] == F(1, 10**MAX_DIGITS - 1)
         # an n: field of MAX_DIGITS digits passes its own check
         with pytest.raises(SchemeError, match="no matrices"):
             parse_scheme(f"name: q\nn: {'9' * MAX_DIGITS}\n")
