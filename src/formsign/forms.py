@@ -49,8 +49,6 @@ def _read_int(digits: str) -> int:
     matched; refuses more than MAX_DIGITS digits."""
     if len(digits) > MAX_DIGITS:
         raise ValueError(f"integer literal longer than {MAX_DIGITS} digits")
-    if len(digits) <= _CHUNK:
-        return int(digits)
     value = 0
     for i in range(0, len(digits), _CHUNK):
         chunk = digits[i : i + _CHUNK]

@@ -463,12 +463,22 @@ def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fractio
                 return f"cells {same[0]} and {same[1]} overlap at the facet {where}"
         i = cells[0][0]  # the facet's one cell
         center = tuple(sum(c) / len(facet) for c in zip(*(vertices[v] for v in facet)))
+        # in a tiling the centre can lie only on the boundary of another cell
+        touching = None
         for j, (m, d) in enumerate(zip(matrices, dets), start=1):
-            if j != i and _contains(m, d, center):
-                return (
-                    f"cells {i} and {j} are not face-to-face at {where}; "
-                    "only face-to-face tilings are verified"
-                )
+            if j == i:
+                continue
+            low = min(_barycentric(m, d, center))
+            if low > 0:
+                point = ", ".join(map(_write_rational, center))
+                return f"cells {i} and {j} overlap at ({point})"
+            if low == 0 and touching is None:
+                touching = j
+        if touching is not None:
+            return (
+                f"cells {i} and {touching} are not face-to-face at {where}; "
+                "only face-to-face tilings are verified"
+            )
         return (
             f"no cell lies beyond cell {i} at the facet {where}, so with "
             "sum |det| = 1 some cells overlap"
@@ -476,15 +486,14 @@ def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fractio
     return None
 
 
-def _contains(m: NormalizedMatrix, d: Fraction, point: tuple) -> bool:
-    # Cramer's rule: the barycentric coordinate k of point in the cell is
-    # det(m with column k replaced by point) / d
+def _barycentric(m: NormalizedMatrix, d: Fraction, point: tuple) -> list[Fraction]:
+    # Cramer's rule: coordinate k of point in the cell is
+    # det(m with column k replaced by point) / d, where d = det(m)
     cols = list(m.columns)
-    for k in range(len(cols)):
-        x = NormalizedMatrix.from_columns(cols[:k] + [point] + cols[k + 1 :]).det()
-        if x and (x > 0) != (d > 0):
-            return False
-    return True
+    return [
+        NormalizedMatrix.from_columns(cols[:k] + [point] + cols[k + 1 :]).det() / d
+        for k in range(len(cols))
+    ]
 
 
 @dataclass(frozen=True)

@@ -317,8 +317,7 @@ class TestValidation:
             # the second cell overlaps the first and leaves [0, 1/4] uncovered
             (
                 (("1 1/2", "0 1/2"), ("3/4 1/4", "1/4 3/4")),
-                "cells 1 and 2 are not face-to-face at (1/2, 1/2); "
-                "only face-to-face tilings are verified",
+                "cells 1 and 2 overlap at (1/2, 1/2)",
             ),
             # the quarter next to e1 twice, nothing beyond the half next to it
             (
