@@ -36,7 +36,6 @@ from .subdivision import (
     make_trisection3_scheme,
     make_wds_scheme,
     save_scheme,
-    validate_scheme,
 )
 
 MAX_WDS_N = 7  # 5 040 cells; each further variable multiplies time and memory by n
@@ -163,7 +162,7 @@ def _cmd_analyze_scheme(args) -> int:
             raise
         validation, convergence = exc.validation, None
     else:
-        validation, convergence = validate_scheme(scheme), check_convergence(scheme)
+        validation, convergence = scheme.validation, check_convergence(scheme)
 
     if args.output == "json":
         report = {

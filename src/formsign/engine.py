@@ -22,11 +22,19 @@ vectors; they become Forms only at the public expand_level boundary.  The
 engine clears each matrix's denominators once (scaling a substitution matrix
 by a positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
-and degree, the expansion of every monomial's image as integer columns; a
-child is then one integer matrix-vector accumulation.  Cells that differ by
-a row and a column permutation (the n! cells of the barycentric scheme are
-one such class) share one set of columns, read through an input and an
-output index map, so each class is expanded once.
+and degree, the expansion of every monomial's image as integer columns.
+Cells that differ by a row and a column permutation (the n! cells of the
+barycentric scheme are one such class) share one set of columns, read
+through an input and an output index map, so each class is expanded once.
+
+A child is computed on packed columns (Kronecker substitution): each column
+becomes one Python int with a w-bit slot per output monomial.  The slot
+width is chosen per parent so that no child coefficient reaches 2^(w-1) in
+absolute value; the child is then 2^(w-1) in every slot (the bias) plus one
+big-int multiply-add per parent term, every biased slot lies in [1, 2^w)
+without carrying into the next, and its top bit is set exactly when the
+coefficient is nonnegative.  So "all coefficients >= 0" is one AND against
+the bias, and only kept or negative children are decoded slot by slot.
 """
 
 from __future__ import annotations
@@ -92,20 +100,26 @@ class LevelResult(NamedTuple):
 
 class _Table:
     """Integer expansion columns for one scheme at one degree, one set per
-    permutation class of cells.
+    permutation class of cells, and their packs.
 
     Suppose cell M and the class representative R satisfy
     M[i][j] = R[sigma[i]][tau[j]].  Then F(My) = (F o P)(R(Qy)) for the
     permutation matrices P and Q of sigma and tau, so R's expansion of each
-    monomial serves M through two index maps.  cells[m] = (columns, pin,
-    pout) for scheme matrix m: columns[j] lists (row_index, coefficient)
-    pairs, the expansion of monomial `exponents[j]` under the representative
-    with denominators cleared; input column j reads columns[pin[j]], and the
-    child's coefficient at column r is the accumulated coefficient at
-    pout[r].  A representative carries identity maps.
+    monomial serves M through two index maps.  columns[rep][j] lists
+    (row_index, coefficient) pairs, the expansion of monomial `exponents[j]`
+    under representative rep with denominators cleared; cells[m] = (rep,
+    pin, pout) for scheme matrix m: input column j reads column pin[j] of
+    rep, and the child's coefficient at column r is the accumulated
+    coefficient at pout[r].  A representative carries identity maps.
+
+    Every entry is a nonnegative integer (scheme cells have nonnegative
+    entries) and maxc is the largest.  packs(rep, w) packs each of rep's
+    columns into one int with a w-bit slot per row, and top(w) is the bias
+    2^(w-1) in every slot; both are built from the sparse columns on first
+    use of a width and live as long as the table.
     """
 
-    __slots__ = ("exponents", "index", "cells")
+    __slots__ = ("exponents", "index", "columns", "cells", "maxc", "_packs", "_tops")
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
@@ -128,7 +142,7 @@ class _Table:
             )
         self.exponents = tuple(_compositions(degree, n))[::-1]
         self.index = {e: i for i, e in enumerate(self.exponents)}
-        columns = {}  # representative -> its expansion columns
+        self.columns = columns = {}
         maps = {}  # permutation -> its column map, shared by the cells using it
         self.cells = []
         for m, (rep, sigma, tau) in enumerate(classes):
@@ -155,7 +169,34 @@ class _Table:
                     # column of e' where e'[perm[i]] = e[i], for each column's e
                     moved = itemgetter(*sorted(range(n), key=perm.__getitem__))
                     maps[perm] = [self.index[moved(e)] for e in self.exponents]
-            self.cells.append((columns[rep], maps[sigma], maps[tau]))
+            self.cells.append((rep, maps[sigma], maps[tau]))
+        self.maxc = max(c for cols in columns.values() for col in cols for _, c in col)
+        self._packs = {}
+        self._tops = {}
+
+    def packs(self, rep: int, w: int) -> list[int]:
+        """Representative rep's columns packed into w-bit slots, built on
+        first use: slot r of pack j holds the entry of columns[rep][j] at
+        row r."""
+        packs = self._packs.get((rep, w))
+        if packs is None:
+            k = w // 8
+            packs = []
+            for col in self.columns[rep]:
+                raw = bytearray(len(self.exponents) * k)
+                for r, c in col:
+                    raw[r * k : r * k + k] = c.to_bytes(k, "little")
+                packs.append(int.from_bytes(raw, "little"))
+            self._packs[(rep, w)] = packs
+        return packs
+
+    def top(self, w: int) -> int:
+        """2^(w-1) in every w-bit slot: the bias, and the sign bits' mask."""
+        top = self._tops.get(w)
+        if top is None:
+            slot = (1 << (w - 1)).to_bytes(w // 8, "little")
+            top = self._tops[w] = int.from_bytes(slot * len(self.exponents), "little")
+        return top
 
 
 def _classes(images: Sequence[tuple]) -> list[tuple[int, tuple, tuple]]:
@@ -238,15 +279,27 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
     children = []
     pruned = 0
     for items, path in frontier:
-        for m_idx, (col, pin, pout) in enumerate(table.cells, start=1):
-            out = [0] * size
+        # child coefficient r is the sum over the parent's terms of v_j times
+        # one table entry, so |out[r]| <= bound < 2^(w-1): biased by 2^(w-1),
+        # every slot holds out[r] + 2^(w-1) in [1, 2^w), carries nothing into
+        # the next slot, and has its top bit set exactly when out[r] >= 0
+        bound = table.maxc * sum(abs(v) for _, v in items)
+        w = 32
+        while w - 1 < bound.bit_length():
+            w *= 2
+        k = w // 8
+        half = 1 << (w - 1)
+        top = table.top(w)
+        for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
+            packs = table.packs(rep, w)
+            x = top
             for j, v in items:
-                for r, c in col[pin[j]]:
-                    out[r] += c * v
-            if min(out) >= 0:
+                x += v * packs[pin[j]]
+            if x & top == top:
                 pruned += 1
                 continue
-            out = [out[r] for r in pout]
+            raw = x.to_bytes(size * k, "little")
+            out = [int.from_bytes(raw[r * k : r * k + k], "little") - half for r in pout]
             g = gcd(*out)
             child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
             if sum(out) < 0:

@@ -179,10 +179,11 @@ class SubdivisionScheme:
     1-based position of each matrix, so reordering matrices produces
     different (equally valid) traces.  Every scheme is checked when it is
     built: the constructor raises SchemeError("invalid scheme: ...") with the
-    failed validate_scheme result attached, so a scheme object is valid.
+    failed validate_scheme result attached, so a scheme object is valid, and
+    keeps the passed result as `validation`.
     """
 
-    __slots__ = ("name", "n", "matrices", "__weakref__")
+    __slots__ = ("name", "n", "matrices", "validation", "__weakref__")
 
     def __init__(self, name: str, n: int, matrices: Iterable[NormalizedMatrix]):
         mats = tuple(matrices)
@@ -203,6 +204,7 @@ class SubdivisionScheme:
             raise SchemeError(
                 "invalid scheme: " + "; ".join(validation.failures()), validation
             )
+        self.validation = validation
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -385,9 +387,9 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     _tiling_problem), which together with the volume sum proves that they
     tile the simplex; a valid tiling that is not face-to-face is refused.
 
-    SubdivisionScheme runs this when it is built and refuses a failing
-    family, so for a scheme object the result is always ok; analyze-scheme
-    prints it as a per-matrix report.
+    SubdivisionScheme runs this when it is built, refuses a failing family
+    and keeps the result as scheme.validation, so for a scheme object the
+    result is always ok; analyze-scheme prints it as a per-matrix report.
     """
     dets = []
     problems = []

@@ -12,6 +12,7 @@ from formsign import (
     SubdivisionScheme,
     make_central3_scheme,
     make_midpoint3_scheme,
+    make_star3_scheme,
     make_trisection3_scheme,
     make_wds_scheme,
     parse_form,
@@ -87,6 +88,25 @@ def swapped_halves_scheme() -> SubdivisionScheme:
             NormalizedMatrix(((Fraction(1, 2), 0), (Fraction(1, 2), 1))),
         ],
     )
+
+
+# Schemes for checking the integer kernel: permutation cells (wds) and the
+# rational, non-permutation cells of the fixed and star schemes.
+KERNEL_SCHEMES = {
+    "wds3": lambda: make_wds_scheme(3),
+    "midpoint3": make_midpoint3_scheme,
+    "trisection3": make_trisection3_scheme,
+    "central3": make_central3_scheme,
+    "wds4": lambda: make_wds_scheme(4),
+    "star3_off_centre": lambda: make_star3_scheme(
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(1, 3), Fraction(2, 3), 0),
+        (0, Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(3, 4), 0, Fraction(1, 4)),
+    ),
+    "swapped_halves": swapped_halves_scheme,
+    "wds5": lambda: make_wds_scheme(5),
+}
 
 
 def all_exponents(n: int, degree: int):

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 import formsign
-from formsign import cli
+from formsign import cli, subdivision
 from formsign.cli import main
 from conftest import MIXED_SIGN_TEXT, SYM_DIFF_TEXT
 
@@ -320,6 +320,20 @@ class TestAnalyzeSchemeCommand:
         assert report["det_sum"] == "1"
         assert report["convergent"] is True
         assert report["contraction_ratio_sq"] == "1/4"
+
+    @pytest.mark.parametrize("argv", [("wds", "--n", "3"), ("midpoint3",)])
+    def test_scheme_validated_once(self, capsys, monkeypatch, argv):
+        # the report reads the validation the scheme kept when it was built;
+        # the tiling check is the last step of every passing validation
+        calls = []
+        tiling = subdivision._tiling_problem
+        monkeypatch.setattr(
+            subdivision, "_tiling_problem", lambda *a: calls.append(1) or tiling(*a)
+        )
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", *argv)
+        assert code == 0
+        assert "valid: yes" in out
+        assert len(calls) == 1
 
     def test_invalid_scheme_file_reported(self, capsys, tmp_path):
         path = tmp_path / "broken.scheme"

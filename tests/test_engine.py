@@ -4,6 +4,7 @@ import gc
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -31,7 +32,7 @@ from formsign import (
     witness_point,
 )
 from formsign import engine
-from conftest import VARS3, all_exponents, swapped_halves_scheme
+from conftest import KERNEL_SCHEMES, VARS3, all_exponents, swapped_halves_scheme
 
 F = Fraction
 
@@ -290,7 +291,8 @@ def test_one_expansion_per_permutation_class(name):
     scheme = make()
     table = engine._Table(scheme, 2)
     assert len(table.cells) == len(scheme)
-    assert len({id(columns) for columns, _, _ in table.cells}) == expansions
+    assert len(table.columns) == expansions
+    assert {rep for rep, _, _ in table.cells} == set(table.columns)
 
 
 @pytest.mark.parametrize("name", CLASS_SCHEMES)
@@ -311,6 +313,122 @@ def test_same_sorted_lines_but_no_permutation():
     assert engine._match(b, a) is None
     identity = (0, 1, 2)
     assert engine._classes([a, b]) == [(0, identity, identity), (1, identity, identity)]
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the sparse loop it replaced
+
+
+def sparse_expand(frontier, table):
+    """engine._expand as one multiply-add per (parent term, table entry)."""
+    size = len(table.exponents)
+    children, pruned = [], 0
+    for items, path in frontier:
+        for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
+            out = [0] * size
+            for j, v in items:
+                for r, c in table.columns[rep][pin[j]]:
+                    out[r] += c * v
+            if min(out) >= 0:
+                pruned += 1
+                continue
+            out = [out[r] for r in pout]
+            g = gcd(*out)
+            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
+            if sum(out) < 0:
+                return children, pruned, child
+            children.append(child)
+    return children, pruned, None
+
+
+def random_parent(rng, size, bits):
+    """Items of a random nonzero parent with coefficients up to 2^bits in
+    absolute value, about one in four of them negative."""
+    columns = sorted(rng.sample(range(size), rng.randint(1, size)))
+    return [(j, rng.choice((1, 1, 1, -1)) * rng.randint(1, 2**bits)) for j in columns]
+
+
+def widths(table):
+    return sorted({w for _, w in table._packs})
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEMES)
+def test_packed_kernel_matches_sparse_loop(name):
+    scheme = KERNEL_SCHEMES[name]()
+    rng = random.Random(f"packed:{name}")
+    tables = [engine._Table(scheme, d) for d in (1, 2, 3 if scheme.n < 5 else 2)]
+    seen = {"kept": 0, "pruned": 0, "negative": 0}
+    for _ in range(20):
+        table = rng.choice(tables)
+        size = len(table.exponents)
+        bits = rng.choices((1, 8, 40, 120, 300), k=rng.randint(1, 4))
+        frontier = [(random_parent(rng, size, b), (p,)) for p, b in enumerate(bits, 1)]
+        got = engine._expand(frontier, table)
+        assert got == sparse_expand(frontier, table)
+        children, pruned, negative = got
+        seen["kept"] += len(children)
+        seen["pruned"] += pruned
+        seen["negative"] += negative is not None
+    assert all(seen.values()), seen
+    assert max(len(widths(t)) for t in tables) > 1
+
+
+def test_slot_width_changes_within_a_level(wds3):
+    # a small, a 300-bit and a small parent: the second needs 512-bit slots
+    table = engine._Table(wds3, 2)
+    small = [(0, 1), (3, 2), (5, 1)]
+    huge = [(0, 2**300 + 1), (1, -1), (4, 3**180)]
+    frontier = [(small, (1,)), (huge, (2,)), (small, (3,))]
+    result = engine._expand(frontier, table)
+    assert result == sparse_expand(frontier, table)
+    assert result[0] and result[1]
+    assert widths(table) == [32, 512]
+
+
+class TestSlotEdges:
+    """Children at the edges of a slot.  The one-cell identity scheme's table
+    has largest entry 1, so each child is its parent and a parent's
+    coefficient sum alone fixes the slot width."""
+
+    @pytest.fixture
+    def table(self):
+        scheme = SubdivisionScheme("id2", 2, [NormalizedMatrix.identity(2)])
+        return engine._Table(scheme, 1)
+
+    def test_zero_coefficient_is_nonnegative(self, table):
+        # 3x + 0y: the zero slot holds exactly the bias
+        assert engine._expand([([(0, 3)], ())], table) == ([], 1, None)
+
+    def test_cancellation_to_zero_is_pruned(self, wds2):
+        # x - y under the first wds2 cell (x -> 2x + y, y -> y) is 2x + 0y,
+        # and under the second (x -> y, y -> 2x + y) it is -2x
+        table = engine._Table(wds2, 1)
+        assert engine._expand([([(0, 1), (1, -1)], ())], table) == ([], 1, ([(0, -1)], (2,)))
+
+    def test_minus_one_is_negative(self, table):
+        # 2x - y: the y slot holds 2^31 - 1, one below the bias
+        assert engine._expand([([(0, 2), (1, -1)], (7,))], table) == (
+            [([(0, 2), (1, -1)], (7, 1))], 0, None
+        )
+        assert widths(table) == [32]
+
+    # 2^4095 has 1 233 decimal digits, past Python's lowest int-to-str limit
+    @pytest.mark.parametrize("w", [32, 64, 512, 4096])
+    def test_coefficients_at_the_slot_edge(self, table, w):
+        edge = 2 ** (w - 1) - 1  # the largest |coefficient| a w-bit slot holds
+        # +edge fills its slot with ones and carries nothing into the zero slot
+        assert engine._expand([([(0, edge)], ())], table) == ([], 1, None)
+        # -edge leaves 1 in its slot
+        assert engine._expand([([(1, -edge)], ())], table) == ([], 0, ([(1, -1)], (1,)))
+        # one below the edge next to -1 and 1: both decode exactly
+        kept = [(0, edge - 1), (1, -1)]
+        assert engine._expand([(kept, ())], table) == ([(kept, (1,))], 0, None)
+        negative = [(0, 1), (1, 1 - edge)]
+        assert engine._expand([(negative, ())], table) == ([], 0, (negative, (1,)))
+        assert widths(table) == [w]
+        # one past the edge takes the next width
+        assert engine._expand([([(0, edge + 1)], ())], table) == ([], 1, None)
+        assert widths(table) == [w, 2 * w]
 
 
 class TestWitnessPoint:

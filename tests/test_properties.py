@@ -13,16 +13,14 @@ from formsign import (
     diameter_sq,
     expand_level,
     format_form,
-    make_central3_scheme,
     make_midpoint3_scheme,
-    make_star3_scheme,
     make_trisection3_scheme,
     make_wds_scheme,
     parse_form,
     validate_scheme,
     witness_point,
 )
-from conftest import random_form, random_simplex_point, swapped_halves_scheme
+from conftest import KERNEL_SCHEMES, random_form, random_simplex_point
 
 F = Fraction
 NAMES = ("u1", "u2", "u3", "u4")
@@ -123,33 +121,16 @@ def test_round_trip_with_rational_coefficients():
         assert parse_form(text, NAMES[:3]) == f
 
 
-# The integer kernel against the reference Form.substitute, on permutation
-# cells (wds) and on the rational, non-permutation cells of the fixed and
-# star schemes.
-KERNEL_SCHEMES = {
-    "wds3": lambda: make_wds_scheme(3),
-    "midpoint3": make_midpoint3_scheme,
-    "trisection3": make_trisection3_scheme,
-    "central3": make_central3_scheme,
-    "wds4": lambda: make_wds_scheme(4),
-    "star3_off_centre": lambda: make_star3_scheme(
-        (F(1, 2), F(1, 4), F(1, 4)),
-        (F(1, 3), F(2, 3), 0),
-        (0, F(1, 2), F(1, 2)),
-        (F(3, 4), 0, F(1, 4)),
-    ),
-    "swapped_halves": swapped_halves_scheme,
-    "wds5": lambda: make_wds_scheme(5),
-}
-
-
+# The integer kernel against the reference Form.substitute.
 @pytest.mark.parametrize("name", KERNEL_SCHEMES)
 def test_expand_level_matches_public_substitution(name):
     rng = random.Random(12893)
     scheme = KERNEL_SCHEMES[name]()
     n = scheme.n
-    for _ in range(25):
-        f = random_form(rng, n, rng.randint(1, 4)).normalize_content()
+    # 25 draws with coefficients up to 5, then 5 of up to 300 bits, which
+    # need slots of 512 bits or more
+    for bound in [5] * 25 + [2**300] * 5:
+        f = random_form(rng, n, rng.randint(1, 4), bound).normalize_content()
         if f.is_trivially_negative():
             continue
         result = expand_level([Branch(f, ())], scheme)
