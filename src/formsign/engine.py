@@ -22,19 +22,21 @@ vectors; they become Forms only at the public expand_level boundary.  The
 engine clears each matrix's denominators once (scaling a substitution matrix
 by a positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
-and degree, the expansion of every monomial's image as integer columns.
-Cells that differ by a row and a column permutation (the n! cells of the
-barycentric scheme are one such class) share one set of columns, read
-through an input and an output index map, so each class is expanded once.
+and degree, the expansion of every monomial's image.  Cells that differ by
+a row and a column permutation (the n! cells of the barycentric scheme are
+one such class) share one set of expansions, read through an input and an
+output index map, so each class is expanded once.
 
-A child is computed on packed columns (Kronecker substitution): each column
-becomes one Python int with a w-bit slot per output monomial.  The slot
-width is chosen per parent so that no child coefficient reaches 2^(w-1) in
-absolute value; the child is then 2^(w-1) in every slot (the bias) plus one
-big-int multiply-add per parent term, every biased slot lies in [1, 2^w)
-without carrying into the next, and its top bit is set exactly when the
-coefficient is nonnegative.  So "all coefficients >= 0" is one AND against
-the bias, and only kept or negative children are decoded slot by slot.
+Expansions are packed (Kronecker substitution): each becomes one Python int
+with a w-bit slot per output monomial, built by a depth-first walk over the
+monomials that keeps one int per degree on its path.  A child is computed
+on these packs.  The slot width is chosen per parent so that no child
+coefficient reaches 2^(w-1) in absolute value; the child is then 2^(w-1) in
+every slot (the bias) plus one big-int multiply-add per parent term, every
+biased slot lies in [1, 2^w) without carrying into the next, and its top
+bit is set exactly when the coefficient is nonnegative.  So "all
+coefficients >= 0" is one AND against the bias, and only kept or negative
+children are decoded slot by slot.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Form, _compositions, _mul_linear
+from .forms import DimensionMismatchError, Form, _compositions
 from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
@@ -99,40 +101,48 @@ class LevelResult(NamedTuple):
 
 
 class _Table:
-    """Integer expansion columns for one scheme at one degree, one set per
-    permutation class of cells, and their packs.
+    """Packed integer expansions for one scheme at one degree, one set per
+    permutation class of cells.
 
     Suppose cell M and the class representative R satisfy
     M[i][j] = R[sigma[i]][tau[j]].  Then F(My) = (F o P)(R(Qy)) for the
     permutation matrices P and Q of sigma and tau, so R's expansion of each
-    monomial serves M through two index maps.  columns[rep][j] lists
-    (row_index, coefficient) pairs, the expansion of monomial `exponents[j]`
-    under representative rep with denominators cleared; cells[m] = (rep,
-    pin, pout) for scheme matrix m: input column j reads column pin[j] of
-    rep, and the child's coefficient at column r is the accumulated
-    coefficient at pout[r].  A representative carries identity maps.
+    monomial serves M through two index maps.  cells[m] = (rep, pin, pout)
+    for scheme matrix m: input monomial j reads column pin[j] of rep, and
+    the child's coefficient of monomial `exponents[r]` is the accumulated
+    coefficient of monomial `exponents[pout[r]]`.  A representative carries
+    identity maps.
 
-    Every entry is a nonnegative integer (scheme cells have nonnegative
-    entries) and maxc is the largest.  packs(rep, w) packs each of rep's
-    columns into one int with a w-bit slot per row, and top(w) is the bias
-    2^(w-1) in every slot; both are built from the sparse columns on first
-    use of a width and live as long as the table.
+    Column j of rep is the expansion of monomial `exponents[j]` under rep
+    with denominators cleared.  packs(rep, w) holds each column as one int
+    with a w-bit slot per monomial, the slot of `exponents[r]` being the
+    r-th from the top, and top(w) is the bias 2^(w-1) in every slot; both
+    are built on first use of a width and live as long as the table.  Every
+    entry is a nonnegative integer (scheme cells have nonnegative entries)
+    and maxc is the largest: no entry exceeds R^degree, R the largest row
+    sum of a representative, so packs at a width that holds R^degree find
+    it exactly, and they are kept like any other width's.
     """
 
-    __slots__ = ("exponents", "index", "columns", "cells", "maxc", "_packs", "_tops")
+    __slots__ = ("exponents", "index", "cells", "maxc", "_reps", "_packs", "_tops")
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
-        zero = (0,) * n
         images = []
         for mat in scheme.matrices:
             scale = 1
             for row in mat.rows:
                 for v in row:
                     scale = lcm(scale, v.denominator)
-            images.append(tuple(tuple(int(v * scale) for v in row) for row in mat.rows))
+            images.append(
+                tuple(
+                    tuple(v.numerator * (scale // v.denominator) for v in row)
+                    for row in mat.rows
+                )
+            )
         classes = _classes(images)
-        reps = sum(rep == m for m, (rep, _, _) in enumerate(classes))
+        self._reps = {m: images[m] for m, (rep, _, _) in enumerate(classes) if rep == m}
+        reps = len(self._reps)
         size = comb(degree + n - 1, n - 1)
         if reps * size**2 > MAX_TABLE_ENTRIES:
             raise ValueError(
@@ -140,54 +150,38 @@ class _Table:
                 f"substitution table of up to {reps} x {size}^2 entries, more "
                 f"than the limit {MAX_TABLE_ENTRIES}"
             )
-        self.exponents = tuple(_compositions(degree, n))[::-1]
-        self.index = {e: i for i, e in enumerate(self.exponents)}
-        self.columns = columns = {}
+        self.exponents = exps = tuple(_compositions(degree, n))[::-1]
+        self.index = index = {e: i for i, e in enumerate(exps)}
         maps = {}  # permutation -> its column map, shared by the cells using it
         self.cells = []
-        for m, (rep, sigma, tau) in enumerate(classes):
-            if rep == m:
-                # walk degrees upward, keeping only the previous level in
-                # memory; extending each monomial by e_i for i up to its first
-                # nonzero index reaches every monomial of the next degree once
-                prev = {zero: {zero: 1}}
-                for _ in range(degree):
-                    cur = {}
-                    for pred, expansion in prev.items():
-                        for i in range(n):
-                            alpha = pred[:i] + (pred[i] + 1,) + pred[i + 1 :]
-                            cur[alpha] = _mul_linear(expansion, images[m][i])
-                            if pred[i]:
-                                break
-                    prev = cur
-                columns[m] = [
-                    [(self.index[beta], c) for beta, c in prev[alpha].items()]
-                    for alpha in self.exponents
-                ]
+        for rep, sigma, tau in classes:
             for perm in (sigma, tau):
                 if perm not in maps:
                     # column of e' where e'[perm[i]] = e[i], for each column's e
-                    moved = itemgetter(*sorted(range(n), key=perm.__getitem__))
-                    maps[perm] = [self.index[moved(e)] for e in self.exponents]
+                    order = sorted(range(n), key=perm.__getitem__)
+                    moved = map(itemgetter(*order), exps)
+                    maps[perm] = list(map(index.__getitem__, moved))
             self.cells.append((rep, maps[sigma], maps[tau]))
-        self.maxc = max(c for cols in columns.values() for col in cols for _, c in col)
         self._packs = {}
         self._tops = {}
+        top_row = max(sum(row) for rows in self._reps.values() for row in rows)
+        w = _slot_width(top_row**degree)
+        k = w // 8
+        slots = [slice(i, i + k) for i in range(0, size * k, k)]
+        # big-endian slots of equal length compare as their values
+        largest = max(
+            max(map(pack.to_bytes(size * k, "big").__getitem__, slots))
+            for rep in self._reps
+            for pack in self.packs(rep, w)
+        )
+        self.maxc = int.from_bytes(largest, "big")
 
     def packs(self, rep: int, w: int) -> list[int]:
         """Representative rep's columns packed into w-bit slots, built on
-        first use: slot r of pack j holds the entry of columns[rep][j] at
-        row r."""
+        first use of the width by one walk."""
         packs = self._packs.get((rep, w))
         if packs is None:
-            k = w // 8
-            packs = []
-            for col in self.columns[rep]:
-                raw = bytearray(len(self.exponents) * k)
-                for r, c in col:
-                    raw[r * k : r * k + k] = c.to_bytes(k, "little")
-                packs.append(int.from_bytes(raw, "little"))
-            self._packs[(rep, w)] = packs
+            packs = self._packs[(rep, w)] = _walk(self._reps[rep], self.exponents, w)
         return packs
 
     def top(self, w: int) -> int:
@@ -197,6 +191,73 @@ class _Table:
             slot = (1 << (w - 1)).to_bytes(w // 8, "little")
             top = self._tops[w] = int.from_bytes(slot * len(self.exponents), "little")
         return top
+
+
+def _slot_width(bound: int) -> int:
+    """The least slot width 32 * 2^k with bound < 2^(w-1)."""
+    w = 32
+    while w - 1 < bound.bit_length():
+        w *= 2
+    return w
+
+
+def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
+    """The expansion of each monomial `exponents[j]` under the integer cell
+    `rows`, packed into w-bit slots, the slot of `exponents[r]` the r-th from
+    the top; every entry must be below 2^w.
+
+    On the way a form is one int in a box layout: y^beta sits in slot
+    sum_{j < n-1} beta_j (d+1)^(n-2-j), the last variable being implied by
+    the degree d, so multiplying by the image of x_i costs one shifted
+    multiply-add per nonzero entry of row i.  Entries are nonnegative, and
+    each is at most an entry of every expansion that extends its monomial
+    (every row has a positive entry), so no slot carries into the next.
+
+    The walk goes depth first over the index sequences i_1 <= ... <= i_d,
+    one per monomial x_{i_1} ... x_{i_d}, and keeps only the images along
+    its path.  Most steps multiply by x_{n-1}, whose image is the sparsest
+    row in the corner cells that represent the built-in schemes.  A degree-d
+    image is compacted at once: its big-endian bytes hold each run of
+    monomials with fixed beta_0 .. beta_{n-3} and beta_{n-2} descending as
+    one contiguous range, and the runs joined in order are the pack.
+    """
+    n = len(rows)
+    degree = sum(exponents[0])
+    unit = [(degree + 1) ** (n - 2 - j) for j in range(n - 1)] + [0]
+    offsets = [sum(map(mul, e, unit)) for e in exponents]  # strictly descending
+    at = {o: j for j, o in enumerate(offsets)}
+    span = offsets[0] + 1
+    k = w // 8
+    runs = []  # byte ranges of the big-endian box, in exponents order
+    start = 0
+    for s in range(1, len(offsets) + 1):
+        if s == len(offsets) or offsets[s] != offsets[s - 1] - 1:
+            hi, lo = offsets[start], offsets[s - 1]
+            runs.append(slice((span - 1 - hi) * k, (span - lo) * k))
+            start = s
+    terms = [[(c, w * u) for c, u in zip(row, unit) if c] for row in rows]
+    packs = [0] * len(exponents)
+    path = [0] * degree  # the factors' indices, nondecreasing
+    image = [1] * (degree + 1)  # image[t]: the image of the path's first t factors
+    slot = [0] * (degree + 1)  # slot[t]: their monomial's box slot
+    t = 0  # the first factor whose image is stale
+    while True:
+        for u in range(t, degree):
+            x, y = image[u], 0
+            for c, shift in terms[path[u]]:
+                y += c * (x << shift)
+            image[u + 1] = y
+            slot[u + 1] = slot[u] + unit[path[u]]
+        raw = image[degree].to_bytes(span * k, "big")
+        compact = b"".join(map(raw.__getitem__, runs))
+        packs[at[slot[degree]]] = int.from_bytes(compact, "big")
+        # the next path: raise the last factor below x_{n-1}, repeat it to the end
+        t = degree - 1
+        while t >= 0 and path[t] == n - 1:
+            t -= 1
+        if t < 0:
+            return packs
+        path[t:] = [path[t] + 1] * (degree - t)
 
 
 def _classes(images: Sequence[tuple]) -> list[tuple[int, tuple, tuple]]:
@@ -280,13 +341,11 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
     pruned = 0
     for items, path in frontier:
         # child coefficient r is the sum over the parent's terms of v_j times
-        # one table entry, so |out[r]| <= bound < 2^(w-1): biased by 2^(w-1),
-        # every slot holds out[r] + 2^(w-1) in [1, 2^w), carries nothing into
-        # the next slot, and has its top bit set exactly when out[r] >= 0
-        bound = table.maxc * sum(abs(v) for _, v in items)
-        w = 32
-        while w - 1 < bound.bit_length():
-            w *= 2
+        # one table entry, so |out[r]| <= maxc * sum |v_j| < 2^(w-1): biased
+        # by 2^(w-1), every slot holds out[r] + 2^(w-1) in [1, 2^w), carries
+        # nothing into the next slot, and has its top bit set exactly when
+        # out[r] >= 0
+        w = _slot_width(table.maxc * sum(abs(v) for _, v in items))
         k = w // 8
         half = 1 << (w - 1)
         top = table.top(w)
@@ -298,8 +357,8 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
             if x & top == top:
                 pruned += 1
                 continue
-            raw = x.to_bytes(size * k, "little")
-            out = [int.from_bytes(raw[r * k : r * k + k], "little") - half for r in pout]
+            raw = x.to_bytes(size * k, "big")
+            out = [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in pout]
             g = gcd(*out)
             child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
             if sum(out) < 0:

@@ -273,8 +273,8 @@ def _compositions(total: int, n: int) -> Iterator[Exponents]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
-# Sums start at int 0, so integer inputs (the engine's substitution tables)
-# stay integer and Fraction inputs give Fractions.
+# Sums start at int 0, so integer inputs (the parser's powers of a base with
+# its denominators cleared) stay integer and Fraction inputs give Fractions.
 
 
 def _mul(p: dict, q: dict) -> dict:

@@ -320,10 +320,17 @@ def _pair_weight(a_bits: int, b_bits: int) -> int:
 
 
 def _power(p: dict, e: int, n: int) -> dict:
+    # raise p with its denominators cleared and divide by den^e once at the
+    # end: integer products, not a gcd in every Fraction operation
+    den = lcm(*map(_denominator, p.values()))
+    base = {k: c.numerator * (den // c.denominator) for k, c in p.items()}
     out = {(0,) * n: 1}
     for _ in range(e):
-        out = _mul(out, p)
-    return out
+        out = _mul(out, base)
+    if den == 1:
+        return out
+    scale = den**e
+    return {k: Fraction(v, scale) for k, v in out.items()}
 
 
 def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> Form:

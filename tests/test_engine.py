@@ -3,8 +3,9 @@
 import gc
 import random
 import time
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -291,8 +292,11 @@ def test_one_expansion_per_permutation_class(name):
     scheme = make()
     table = engine._Table(scheme, 2)
     assert len(table.cells) == len(scheme)
-    assert len(table.columns) == expansions
-    assert {rep for rep, _, _ in table.cells} == set(table.columns)
+    reps = {rep for rep, _, _ in table.cells}
+    assert len(reps) == expansions
+    # a representative stands for itself, through identity maps
+    identity = list(range(len(table.exponents)))
+    assert all(table.cells[rep] == (rep, identity, identity) for rep in reps)
 
 
 @pytest.mark.parametrize("name", CLASS_SCHEMES)
@@ -316,18 +320,44 @@ def test_same_sorted_lines_but_no_permutation():
 
 
 # ---------------------------------------------------------------------------
-# the packed kernel against the sparse loop it replaced
+# the packed kernel against a sparse loop over Form.substitute's expansions
 
 
-def sparse_expand(frontier, table):
-    """engine._expand as one multiply-add per (parent term, table entry)."""
+def substituted_columns(scheme, table):
+    """{rep: columns} with column j the expansion of monomial
+    table.exponents[j] under rep's denominator-cleared cell, taken from
+    Form.substitute, as (row index, coefficient) pairs."""
+    columns = {}
+    for rep in sorted({rep for rep, _, _ in table.cells}):
+        rows = scheme.matrices[rep].rows
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        cell = [[v * scale for v in row] for row in rows]
+        columns[rep] = [
+            [
+                (table.index[e], int(c))
+                for e, c in Form(scheme.n, {alpha: 1}).substitute(cell).terms.items()
+            ]
+            for alpha in table.exponents
+        ]
+    return columns
+
+
+def decode(pack, size, w):
+    """A pack's slots, the slot of exponents[r] the r-th from the top."""
+    k = w // 8
+    raw = pack.to_bytes(size * k, "big")
+    return [int.from_bytes(raw[r * k : r * k + k], "big") for r in range(size)]
+
+
+def sparse_expand(frontier, table, columns):
+    """engine._expand as one multiply-add per (parent term, expansion entry)."""
     size = len(table.exponents)
     children, pruned = [], 0
     for items, path in frontier:
         for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
             out = [0] * size
             for j, v in items:
-                for r, c in table.columns[rep][pin[j]]:
+                for r, c in columns[rep][pin[j]]:
                     out[r] += c * v
             if min(out) >= 0:
                 pruned += 1
@@ -339,6 +369,61 @@ def sparse_expand(frontier, table):
                 return children, pruned, child
             children.append(child)
     return children, pruned, None
+
+
+def assert_packs_decode_to(table, columns, w):
+    size = len(table.exponents)
+    for rep, cols in columns.items():
+        packs = table.packs(rep, w)
+        assert len(packs) == size
+        for pack, col in zip(packs, cols):
+            expected = [0] * size
+            for r, c in col:
+                expected[r] = c
+            assert decode(pack, size, w) == expected
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEMES)
+def test_packs_match_form_substitute(name):
+    scheme = KERNEL_SCHEMES[name]()
+    for degree in range(4):
+        table = engine._Table(scheme, degree)
+        columns = substituted_columns(scheme, table)
+        entries = [c for cols in columns.values() for col in cols for _, c in col]
+        assert table.maxc == max(entries)
+        # the widths the table built its packs at while finding maxc
+        for w in widths(table):
+            assert_packs_decode_to(table, columns, w)
+
+
+def test_wds3_degree_24_packs_at_two_widths(wds3):
+    table = engine._Table(wds3, 24)
+    columns = substituted_columns(wds3, table)
+    assert table.maxc == max(c for col in columns[0] for _, c in col)
+    assert table.maxc.bit_length() == 79
+    # 128 bits is the least width holding every entry, and the width of the
+    # maxc walk, since 11^24 < 2^127
+    assert widths(table) == [128]
+    for w in (128, 256):
+        assert_packs_decode_to(table, columns, w)
+    assert widths(table) == [128, 256]
+
+
+def test_table_build_peak_memory():
+    # the wds6 table at degree 6 is one representative with 462 packs of
+    # 462 slots, about 1.7 MB at 64 bits and 3.4 MB at 128; the walk adds
+    # only the ints on its path
+    scheme = make_wds_scheme(6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = engine._Table(scheme, 6)
+        table.packs(0, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert widths(table) == [64, 128]
+    assert peak < 10 * 2**20
 
 
 def random_parent(rng, size, bits):
@@ -357,6 +442,7 @@ def test_packed_kernel_matches_sparse_loop(name):
     scheme = KERNEL_SCHEMES[name]()
     rng = random.Random(f"packed:{name}")
     tables = [engine._Table(scheme, d) for d in (1, 2, 3 if scheme.n < 5 else 2)]
+    columns = {id(t): substituted_columns(scheme, t) for t in tables}
     seen = {"kept": 0, "pruned": 0, "negative": 0}
     for _ in range(20):
         table = rng.choice(tables)
@@ -364,7 +450,7 @@ def test_packed_kernel_matches_sparse_loop(name):
         bits = rng.choices((1, 8, 40, 120, 300), k=rng.randint(1, 4))
         frontier = [(random_parent(rng, size, b), (p,)) for p, b in enumerate(bits, 1)]
         got = engine._expand(frontier, table)
-        assert got == sparse_expand(frontier, table)
+        assert got == sparse_expand(frontier, table, columns[id(table)])
         children, pruned, negative = got
         seen["kept"] += len(children)
         seen["pruned"] += pruned
@@ -380,7 +466,7 @@ def test_slot_width_changes_within_a_level(wds3):
     huge = [(0, 2**300 + 1), (1, -1), (4, 3**180)]
     frontier = [(small, (1,)), (huge, (2,)), (small, (3,))]
     result = engine._expand(frontier, table)
-    assert result == sparse_expand(frontier, table)
+    assert result == sparse_expand(frontier, table, substituted_columns(wds3, table))
     assert result[0] and result[1]
     assert widths(table) == [32, 512]
 
@@ -425,10 +511,11 @@ class TestSlotEdges:
         assert engine._expand([(kept, ())], table) == ([(kept, (1,))], 0, None)
         negative = [(0, 1), (1, 1 - edge)]
         assert engine._expand([(negative, ())], table) == ([], 0, (negative, (1,)))
-        assert widths(table) == [w]
+        # the table also keeps the 32-bit packs its maxc walk built
+        assert widths(table) == sorted({32, w})
         # one past the edge takes the next width
         assert engine._expand([([(0, edge + 1)], ())], table) == ([], 1, None)
-        assert widths(table) == [w, 2 * w]
+        assert widths(table) == sorted({32, w, 2 * w})
 
 
 class TestWitnessPoint:

@@ -100,6 +100,12 @@ class TestParseBasics:
         assert f.coefficient((4, 4, 4)) == 34650
         assert all(type(c) is Fraction for c in f.terms.values())
 
+    def test_rational_power_equals_the_repeated_product(self):
+        base = "(1/3*x - 5/7*y + 2*z)"
+        power = parse_form(f"{base}^9", VARS3)
+        assert power == parse_form("*".join([base] * 9), VARS3)
+        assert power.coefficient((9, 0, 0)) == F(1, 3**9)
+
     def test_power_just_under_the_work_limit_parses(self):
         # 515 100 term pairs, about half of MAX_TERM_PAIRS
         form = parse_form("(x+y+z)^100", VARS3)
