@@ -29,8 +29,8 @@ output index map, so each class is expanded once.
 
 Expansions are packed (Kronecker substitution): each becomes one Python int
 with a w-bit slot per output monomial, built by a depth-first walk over the
-monomials that keeps one int per degree on its path.  A child is computed
-on these packs.  The slot width is chosen per parent so that no child
+monomials that keeps one partial image per degree on its path.  A child is
+computed on these packs.  The slot width is chosen per parent so that no child
 coefficient reaches 2^(w-1) in absolute value; the child is then 2^(w-1) in
 every slot (the bias) plus one big-int multiply-add per parent term, every
 biased slot lies in [1, 2^w) without carrying into the next, and its top
@@ -168,11 +168,20 @@ class _Table:
         w = _slot_width(top_row**degree)
         k = w // 8
         slots = [slice(i, i + k) for i in range(0, size * k, k)]
-        # big-endian slots of equal length compare as their values
+        packs = [pack for rep in self._reps for pack in self.packs(rep, w)]
+        # the largest entry has as many bits as the longest slot of the OR
+        # of all packs, so only packs with that bit set in a slot can hold
+        # it; big-endian slots of equal length compare as their values
+        union = 0
+        for pack in packs:
+            union |= pack
+        raw = union.to_bytes(size * k, "big")
+        bits = int.from_bytes(max(map(raw.__getitem__, slots)), "big").bit_length()
+        high = int.from_bytes((1 << (bits - 1)).to_bytes(k, "big") * size, "big")
         largest = max(
             max(map(pack.to_bytes(size * k, "big").__getitem__, slots))
-            for rep in self._reps
-            for pack in self.packs(rep, w)
+            for pack in packs
+            if pack & high
         )
         self.maxc = int.from_bytes(largest, "big")
 
@@ -206,51 +215,86 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
     `rows`, packed into w-bit slots, the slot of `exponents[r]` the r-th from
     the top; every entry must be below 2^w.
 
-    On the way a form is one int in a box layout: y^beta sits in slot
+    Monomials are numbered in a box: y^beta has slot
     sum_{j < n-1} beta_j (d+1)^(n-2-j), the last variable being implied by
-    the degree d, so multiplying by the image of x_i costs one shifted
-    multiply-add per nonzero entry of row i.  Entries are nonnegative, and
-    each is at most an entry of every expansion that extends its monomial
-    (every row has a positive entry), so no slot carries into the next.
+    the degree d, so multiplying a monomial by y_j adds a constant to its
+    slot.  While the box has at most 32 slots per monomial of degree d, a
+    form on the way is one int with a w-bit field per box slot, and
+    multiplying it by the image of x_i costs one shifted multiply-add per
+    nonzero entry of row i.  Entries are nonnegative, and each is at most
+    an entry of every expansion that extends its monomial (every row has a
+    positive entry), so no field carries into the next.  A degree-d image
+    is compacted at once: its big-endian bytes hold each run of monomials
+    with fixed beta_0 .. beta_{n-3} and beta_{n-2} descending as one
+    contiguous range, and the runs joined in order are the pack.  The box
+    has (d+1)^(n-1) slots, up to (n-1)! times the monomial count and far
+    more for many variables at a low degree (3^19 against 210 at n = 20,
+    d = 2).  Past 32 slots per monomial, where a Python-level dict update
+    costs less than the int's passes over the empty fields, a form is a
+    dict from box slot to coefficient and holds only its own monomials.
 
     The walk goes depth first over the index sequences i_1 <= ... <= i_d,
     one per monomial x_{i_1} ... x_{i_d}, and keeps only the images along
     its path.  Most steps multiply by x_{n-1}, whose image is the sparsest
-    row in the corner cells that represent the built-in schemes.  A degree-d
-    image is compacted at once: its big-endian bytes hold each run of
-    monomials with fixed beta_0 .. beta_{n-3} and beta_{n-2} descending as
-    one contiguous range, and the runs joined in order are the pack.
+    row in the corner cells that represent the built-in schemes.
     """
     n = len(rows)
     degree = sum(exponents[0])
+    size = len(exponents)
     unit = [(degree + 1) ** (n - 2 - j) for j in range(n - 1)] + [0]
     offsets = [sum(map(mul, e, unit)) for e in exponents]  # strictly descending
     at = {o: j for j, o in enumerate(offsets)}
     span = offsets[0] + 1
     k = w // 8
-    runs = []  # byte ranges of the big-endian box, in exponents order
-    start = 0
-    for s in range(1, len(offsets) + 1):
-        if s == len(offsets) or offsets[s] != offsets[s - 1] - 1:
-            hi, lo = offsets[start], offsets[s - 1]
-            runs.append(slice((span - 1 - hi) * k, (span - lo) * k))
-            start = s
-    terms = [[(c, w * u) for c, u in zip(row, unit) if c] for row in rows]
-    packs = [0] * len(exponents)
+    terms = [[(c, u) for c, u in zip(row, unit) if c] for row in rows]
+    if span <= 32 * size:
+        runs = []  # byte ranges of the big-endian box, in exponents order
+        start = 0
+        for s in range(1, size + 1):
+            if s == size or offsets[s] != offsets[s - 1] - 1:
+                hi, lo = offsets[start], offsets[s - 1]
+                runs.append(slice((span - 1 - hi) * k, (span - lo) * k))
+                start = s
+        shifts = [[(c, w * u) for c, u in row] for row in terms]
+
+        def times(x: int, i: int) -> int:
+            y = 0
+            for c, shift in shifts[i]:
+                y += c * (x << shift)
+            return y
+
+        def pack(x: int) -> int:
+            raw = x.to_bytes(span * k, "big")
+            return int.from_bytes(b"".join(map(raw.__getitem__, runs)), "big")
+
+        one = 1
+    else:
+
+        def times(x: dict, i: int) -> dict:
+            y: dict = {}
+            for o, v in x.items():
+                for c, u in terms[i]:
+                    y[o + u] = y.get(o + u, 0) + c * v
+            return y
+
+        def pack(x: dict) -> int:
+            raw = bytearray(size * k)
+            for o, v in x.items():
+                r = at[o] * k
+                raw[r : r + k] = v.to_bytes(k, "big")
+            return int.from_bytes(raw, "big")
+
+        one = {0: 1}
+    packs = [0] * size
     path = [0] * degree  # the factors' indices, nondecreasing
-    image = [1] * (degree + 1)  # image[t]: the image of the path's first t factors
+    image = [one] * (degree + 1)  # image[t]: the image of the path's first t factors
     slot = [0] * (degree + 1)  # slot[t]: their monomial's box slot
     t = 0  # the first factor whose image is stale
     while True:
         for u in range(t, degree):
-            x, y = image[u], 0
-            for c, shift in terms[path[u]]:
-                y += c * (x << shift)
-            image[u + 1] = y
+            image[u + 1] = times(image[u], path[u])
             slot[u + 1] = slot[u] + unit[path[u]]
-        raw = image[degree].to_bytes(span * k, "big")
-        compact = b"".join(map(raw.__getitem__, runs))
-        packs[at[slot[degree]]] = int.from_bytes(compact, "big")
+        packs[at[slot[degree]]] = pack(image[degree])
         # the next path: raise the last factor below x_{n-1}, repeat it to the end
         t = degree - 1
         while t >= 0 and path[t] == n - 1:

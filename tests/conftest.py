@@ -90,8 +90,23 @@ def swapped_halves_scheme() -> SubdivisionScheme:
     )
 
 
-# Schemes for checking the integer kernel: permutation cells (wds) and the
-# rational, non-permutation cells of the fixed and star schemes.
+def bisection_scheme(n: int) -> SubdivisionScheme:
+    """The two halves of T_n on either side of the midpoint of the edge
+    from e_1 to e_2: the identity with column 2, or column 1, moved to it."""
+
+    def half(moved: int) -> NormalizedMatrix:
+        def entry(i: int, j: int):
+            return Fraction(int(i < 2), 2) if j == moved else int(i == j)
+
+        return NormalizedMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    return SubdivisionScheme(f"bisection{n}", n, [half(1), half(0)])
+
+
+# Schemes for checking the integer kernel: permutation cells (wds), the
+# rational, non-permutation cells of the fixed and star schemes, and a
+# bisection in 8 variables, whose tables past degree 1 have more than 32
+# box slots per monomial and walk on dicts.
 KERNEL_SCHEMES = {
     "wds3": lambda: make_wds_scheme(3),
     "midpoint3": make_midpoint3_scheme,
@@ -106,6 +121,7 @@ KERNEL_SCHEMES = {
     ),
     "swapped_halves": swapped_halves_scheme,
     "wds5": lambda: make_wds_scheme(5),
+    "bisection8": lambda: bisection_scheme(8),
 }
 
 

@@ -33,7 +33,13 @@ from formsign import (
     witness_point,
 )
 from formsign import engine
-from conftest import KERNEL_SCHEMES, VARS3, all_exponents, swapped_halves_scheme
+from conftest import (
+    KERNEL_SCHEMES,
+    VARS3,
+    all_exponents,
+    bisection_scheme,
+    swapped_halves_scheme,
+)
 
 F = Fraction
 
@@ -424,6 +430,26 @@ def test_table_build_peak_memory():
         tracemalloc.stop()
     assert widths(table) == [64, 128]
     assert peak < 10 * 2**20
+
+
+def test_many_variables_at_a_low_degree():
+    # a degree-2 form in 16 variables has 136 monomials, and a box of 3^15
+    # slots, 57 MB per int at 32 bits: the walk keeps dicts instead, and the
+    # table with its 64-bit packs stays as small as the packs (0.24 MB)
+    scheme = bisection_scheme(16)
+    gc.collect()
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        table = engine._Table(scheme, 2)
+        table.packs(0, 64)
+        seconds = time.process_time() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert seconds < 2
+    assert_packs_decode_to(table, substituted_columns(scheme, table), 64)
 
 
 def random_parent(rng, size, bits):
