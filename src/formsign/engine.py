@@ -17,10 +17,13 @@ An empty frontier proves nonnegativity on all of T_n (every direction is
 covered by some pruned ancestor); hitting max_depth with live branches is
 inconclusive.  All arithmetic is exact.
 
-Branch forms are content normalized and kept as coprime integer coefficient
-vectors; they become Forms only at the public expand_level boundary.  The
-engine clears each matrix's denominators once (scaling a substitution matrix
-by a positive constant scales the image form by a positive constant, which
+The input form is read once as its content vector (forms._content): coprime
+integer coefficients, a positive multiple of the form, so the depth-0 tests
+are an int sum and an int minimum, and Fraction arithmetic runs only to map
+and evaluate a witness.  Branch forms are kept as such vectors too; they
+become Forms only at the public expand_level boundary.  The engine clears
+each matrix's denominators once (scaling a substitution matrix by a
+positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
 and degree, the expansion of every monomial's image.  Cells that differ by
 a row and a column permutation (the n! cells of the barycentric scheme are
@@ -45,11 +48,11 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Form, _compositions
+from .forms import DimensionMismatchError, Form, _cleared, _compositions, _content
 from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
@@ -130,16 +133,8 @@ class _Table:
         n = scheme.n
         images = []
         for mat in scheme.matrices:
-            scale = 1
-            for row in mat.rows:
-                for v in row:
-                    scale = lcm(scale, v.denominator)
-            images.append(
-                tuple(
-                    tuple(v.numerator * (scale // v.denominator) for v in row)
-                    for row in mat.rows
-                )
-            )
+            entries, _ = _cleared(v for row in mat.rows for v in row)
+            images.append(tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)))
         classes = _classes(images)
         self._reps = {m: images[m] for m, (rep, _, _) in enumerate(classes) if rep == m}
         reps = len(self._reps)
@@ -438,8 +433,8 @@ def expand_level(
     index, exps = table.index, table.exponents
     parents = []
     for b in branches:
-        terms = b.form.normalize_content().terms
-        parents.append(([(index[e], c.numerator) for e, c in terms.items()], b.path))
+        ints = _content(b.form.terms)
+        parents.append(([(index[e], v) for e, v in ints.items()], b.path))
 
     def branch(child) -> Branch:
         items, path = child
@@ -515,15 +510,17 @@ def decide(
             )
         return Verdict(Outcome.INDEFINITE, depth, stats, path, point, value)
 
-    # depth 0: the input form itself may already settle it
-    if form.is_trivially_negative():
+    # depth 0: the input form itself may already settle it; the content
+    # vector is a positive multiple of the form, so its coefficient sum and
+    # least coefficient have the form's signs
+    ints = _content(form.terms)
+    if sum(ints.values()) < 0:
         return indefinite(0, (), RunStats(0, 0, 1))
-    if form.is_trivially_positive():
+    if min(ints.values()) >= 0:
         return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
 
     table = _table_for(scheme, form.degree)
-    terms = form.normalize_content().terms
-    frontier = [([(table.index[e], c.numerator) for e, c in terms.items()], ())]
+    frontier = [([(table.index[e], v) for e, v in ints.items()], ())]
     expanded = 0
     pruned_total = 0
     peak = 1

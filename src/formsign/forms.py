@@ -3,8 +3,11 @@
 A form of degree d in n variables is stored sparsely as a map from exponent
 vectors (length-n tuples of nonnegative ints summing to d) to nonzero
 rational coefficients.  Everything is exact: coefficients and points are
-`fractions.Fraction`, and floats are refused on sight so no rounding can
-sneak into a verdict.
+`fractions.Fraction` at the API, and floats are refused on sight so no
+rounding can sneak into a verdict.  Inside, the per-query work runs on
+Python ints over a common denominator (_cleared): evaluation, content
+normalization (_content) and the parser's values, each building Fractions
+only for its result.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -126,7 +130,7 @@ class Form:
             if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints: {exps}")
             coeff = as_fraction(raw_coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
             degrees.add(sum(exps))
             clean[exps] = coeff
@@ -153,16 +157,29 @@ class Form:
         return self.terms.get(exps, _ZERO)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a point, given as rationals (floats rejected)."""
+        """Exact value at a point, given as rationals (floats rejected).
+
+        The form is homogeneous, so with the point a / D over a common
+        denominator D, F(a / D) = F(a) / D^degree: the sum runs on ints, with
+        each coordinate's powers computed once, and one Fraction is built.
+        """
         pt = self._check_point(point)
-        total = _ZERO
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for p, e in zip(pt, exps):
+        coords, den = _cleared(pt)
+        coeffs, scale = _cleared(self.terms.values())
+        tops = map(max, zip(*self.terms))  # each variable's top exponent
+        powers = []  # powers[i][e] = coords[i]^e
+        for a, top in zip(coords, tops):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * a)
+            powers.append(row)
+        total = 0
+        for exps, v in zip(self.terms, coeffs):
+            for row, e in zip(powers, exps):
                 if e:
-                    v *= p**e
+                    v *= row[e]
             total += v
-        return total
+        return Fraction(total, scale * den**self.degree)
 
     def substitute(self, matrix) -> Form:
         """Compose with a linear change of variables.
@@ -225,20 +242,10 @@ class Form:
         """
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-        scale = Fraction(den, num)
-        if scale == 1:
+        ints = _content(self.terms)
+        if ints == self.terms:
             return self
-        return Form(
-            self.n,
-            {k: c * scale for k, c in self.terms.items()},
-            degree=self.degree,
-        )
+        return Form(self.n, ints, degree=self.degree)
 
     def _check_point(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         pt = tuple(as_fraction(v) for v in point)
@@ -273,15 +280,35 @@ def _compositions(total: int, n: int) -> Iterator[Exponents]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
-# Sums start at int 0, so integer inputs (the parser's powers of a base with
-# its denominators cleared) stay integer and Fraction inputs give Fractions.
+def _cleared(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals `values` as ints over their least common denominator:
+    (numerators, denominator), the numerators in the order given."""
+    values = list(values)
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _content(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, int]:
+    """A form's coefficients scaled to coprime integers: times the lcm of
+    their denominators over the gcd of the numerators that gives.  The
+    scale is positive, so signs, the coefficient sum's sign and the zero
+    set stay as they are."""
+    ints, _ = _cleared(terms.values())
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return dict(zip(terms, ints))
+
+
+# Sums start at int 0, so integer inputs (the parser's integer numerators)
+# stay integer and Fraction inputs give Fractions.
 
 
 def _mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for ka, va in p.items():
         for kb, vb in q.items():
-            k = tuple(a + b for a, b in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s

@@ -15,9 +15,9 @@ nonnegative integers capped at 2**16.  '-1/3*x^3' therefore denotes
 (-1/3) * x**3.  An integer literal has at most MAX_DIGITS (4300) digits,
 parentheses and unary minus signs nest at most 100 deep, and expanding
 one input may multiply at most 10**6 pairs of terms, a pair of large
-coefficients counting as several (see _pair_weight), so a hostile input
-is a syntax error rather than a blown Python stack or a parse that runs
-for minutes.
+coefficients counting as several (see _pair_weight), and bringing terms to
+a new common denominator counts as well, so a hostile input is a syntax
+error rather than a blown Python stack or a parse that runs for minutes.
 The same grammar is used for the --form command line argument; scheme
 files use their own simpler row format.
 """
@@ -28,7 +28,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .forms import Form, _mul, _read_int
@@ -41,7 +40,10 @@ MAX_TERM_PAIRS = 10**6
 # products of two 64-bit words that cost about as much as one term pair's
 # loop overhead in forms._mul
 _WORD_PRODUCTS_PER_PAIR = 256
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+# A parse value is (terms, den): a map from exponent vectors to nonzero ints,
+# and one positive int den they are all over.
+Value = tuple[dict, int]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -124,10 +126,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent over the token list, producing term maps directly.
+    """Recursive descent over the token list, producing values directly.
 
-    Coefficients stay ints until a p/q literal brings in a Fraction; Form
-    coerces them all to Fraction at the end.
+    A value is a term map of int coefficients over one positive common
+    denominator: a product multiplies the denominators, a power raises it,
+    and a sum brings its summands to the lcm of theirs.  parse_form divides
+    once at the end, one Fraction per term.
     """
 
     def __init__(self, text: str, ctx: VariableContext):
@@ -159,7 +163,7 @@ class _Parser:
                 at,
             )
 
-    def parse(self) -> dict:
+    def parse(self) -> Value:
         value = self.expr()
         kind, _, at = self.peek()
         if kind != "END":
@@ -171,25 +175,45 @@ class _Parser:
             raise FormSyntaxError(f"unexpected {kind!r}", at)
         return value
 
-    def expr(self) -> dict:
+    def expr(self) -> Value:
         value = self.term()
+        if self.peek()[0] not in ("+", "-"):
+            return value
+        # (value, sign, operator position) per summand; the first is charged
+        # at the first operator
+        parts = [(value, 1, self.peek()[2])]
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = _add(value, rhs, negate=op == "-")
-        return value
+            op, _, at = self.advance()
+            parts.append((self.term(), -1 if op == "-" else 1, at))
+        # every summand goes over the lcm of all their denominators at once,
+        # so none is rescaled again at a later operator; each rescaling is
+        # charged like a product by a constant
+        den = lcm(*(old for (_, old), _, _ in parts))
+        out: dict = {}
+        for (terms, old), sign, at in parts:
+            factor = sign * (den // old)
+            if factor != sign:
+                weight = _pair_weight(_bits(terms), factor.bit_length())
+                self.charge(len(terms) * weight, at)
+            for k, v in terms.items():
+                v = out.get(k, 0) + v * factor
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+        return out, den
 
-    def term(self) -> dict:
+    def term(self) -> Value:
         value = self.unary()
         while self.peek()[0] == "*":
             _, _, star_at = self.advance()
             rhs = self.unary()
             weight = _pair_weight(_size(value), _size(rhs))
-            self.charge(len(value) * len(rhs) * weight, star_at)
-            value = _mul(value, rhs)
+            self.charge(len(value[0]) * len(rhs[0]) * weight, star_at)
+            value = (_mul(value[0], rhs[0]), value[1] * rhs[1])
         return value
 
-    def unary(self) -> dict:
+    def unary(self) -> Value:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FormSyntaxError(
@@ -197,13 +221,14 @@ class _Parser:
             )
         if self.peek()[0] == "-":
             self.advance()
-            value = {k: -v for k, v in self.unary().items()}
+            terms, den = self.unary()
+            value = ({k: -v for k, v in terms.items()}, den)
         else:
             value = self.power()
         self.depth -= 1
         return value
 
-    def power(self) -> dict:
+    def power(self) -> Value:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -217,34 +242,33 @@ class _Parser:
             )
         n = self.ctx.n
         size, growth = _size(base), _growth(base)
-        for j, pairs in enumerate(_power_step_pairs(base, value, n)):
+        for j, pairs in enumerate(_power_step_pairs(base[0], value, n)):
             # step j multiplies p^j, whose coefficients have at most
             # j * growth bits, by p's
             self.charge(pairs * _pair_weight(j * growth, size), caret_at)
         return _power(base, value, n)
 
-    def atom(self) -> dict:
+    def atom(self) -> Value:
         kind, value, at = self.advance()
         n = self.ctx.n
         if kind == "NUM":
-            coeff = value
+            den = 1
             # a '/' directly after an integer continues a rational literal
             if self.peek()[0] == "/":
                 self.advance()
-                dkind, dvalue, dat = self.advance()
+                dkind, den, dat = self.advance()
                 if dkind != "NUM":
                     raise FormSyntaxError("expected an integer denominator", dat)
-                if dvalue == 0:
+                if den == 0:
                     raise FormSyntaxError("zero denominator", dat)
-                coeff = Fraction(value, dvalue)
-            return {(0,) * n: coeff} if coeff else {}
+            return ({(0,) * n: value} if value else {}), den
         if kind == "NAME":
             try:
                 j = self.ctx.index(value)
             except ValueError:
                 raise FormSyntaxError(f"unknown variable {value!r}", at) from None
             exps = tuple(1 if i == j else 0 for i in range(n))
-            return {exps: 1}
+            return {exps: 1}, 1
         if kind == "(":
             inner = self.expr()
             kind2, _, at2 = self.advance()
@@ -256,17 +280,6 @@ class _Parser:
         if kind == "END":
             raise FormSyntaxError("unexpected end of input", at)
         raise FormSyntaxError(f"unexpected {value!r}", at)
-
-
-def _add(p: dict, q: dict, negate: bool = False) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, 0) + (-v if negate else v)
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
 
 
 def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
@@ -288,27 +301,26 @@ def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
         yield k * min(comb(j + k - 1, k - 1), monomials)
 
 
-def _size(p: dict) -> int:
-    """Bits of p's largest numerator plus bits of its largest denominator: at
+def _bits(terms: dict) -> int:
+    """Bits of the largest int coefficient in a term map (0 if it is empty)."""
+    return max(map(int.bit_length, terms.values()), default=0)
+
+
+def _size(p: Value) -> int:
+    """Bits of p's largest int coefficient plus bits of its denominator: at
     least the bits of any one coefficient, numerator plus denominator."""
-    if not p:
-        return 0
-    coeffs = p.values()
-    return max(map(int.bit_length, map(_numerator, coeffs))) + max(
-        map(int.bit_length, map(_denominator, coeffs))
-    )
+    terms, den = p
+    return _bits(terms) + den.bit_length() if terms else 0
 
 
-def _growth(p: dict) -> int:
+def _growth(p: Value) -> int:
     """Bits each further factor p adds at most to a coefficient of a power of p.
 
-    With L the least common denominator of p's coefficients c, every
-    coefficient of p^j is N / L^j with |N| <= (sum |c| * L)^j.
+    With D the denominator of p and v its int coefficients, every
+    coefficient of p^j is N / D^j with |N| <= (sum |v|)^j.
     """
-    coeffs = p.values()
-    den = lcm(*map(_denominator, coeffs))
-    bound = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
-    return bound.bit_length() + den.bit_length()
+    terms, den = p
+    return sum(map(abs, terms.values())).bit_length() + den.bit_length()
 
 
 def _pair_weight(a_bits: int, b_bits: int) -> int:
@@ -319,18 +331,13 @@ def _pair_weight(a_bits: int, b_bits: int) -> int:
     return 1 + words // _WORD_PRODUCTS_PER_PAIR
 
 
-def _power(p: dict, e: int, n: int) -> dict:
-    # raise p with its denominators cleared and divide by den^e once at the
-    # end: integer products, not a gcd in every Fraction operation
-    den = lcm(*map(_denominator, p.values()))
-    base = {k: c.numerator * (den // c.denominator) for k, c in p.items()}
+def _power(p: Value, e: int, n: int) -> Value:
+    terms, den = p
     out = {(0,) * n: 1}
     for _ in range(e):
-        out = _mul(out, base)
-    if den == 1:
-        return out
-    scale = den**e
-    return {k: Fraction(v, scale) for k, v in out.items()}
+        out = _mul(out, terms)
+    # a power of zero has no term pairs to charge den^e to: drop den
+    return out, den**e if out else 1
 
 
 def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> Form:
@@ -340,7 +347,13 @@ def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> F
     and InhomogeneousError when the expanded polynomial mixes degrees.
     """
     ctx = VariableContext.of(variables)
-    terms = _Parser(text, ctx).parse()
+    parser = _Parser(text, ctx)
+    terms, den = parser.parse()
+    if den > 1:
+        # each Fraction reduces its coefficient by one gcd with den
+        weight = _pair_weight(_bits(terms), den.bit_length())
+        parser.charge(len(terms) * weight, 0)
+        terms = {k: Fraction(v, den) for k, v in terms.items()}
     return Form(ctx.n, terms)
 
 

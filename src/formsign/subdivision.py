@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .forms import (
     DimensionMismatchError,
     RationalLike,
+    _cleared,
     _read_int,
     _write_rational,
     as_fraction,
@@ -393,8 +394,12 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     """
     dets = []
     problems = []
+    n = scheme.n
     for idx, m in enumerate(scheme.matrices, start=1):
-        if any(sum(col, Fraction(0)) != 1 for col in zip(*m.rows)):
+        # entries row by row over the cell's common denominator, so column j
+        # is every n-th int from j and sums to 1 exactly when it sums to den
+        entries, den = _cleared(v for row in m.rows for v in row)
+        if any(sum(entries[j::n]) != den for j in range(n)):
             problems.append(f"matrix {idx}: some column does not sum to 1")
         if any(v.numerator < 0 for row in m.rows for v in row):
             problems.append(f"matrix {idx}: negative entry")

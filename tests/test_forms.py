@@ -4,19 +4,65 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsign import (
     MAX_DIGITS,
     DimensionMismatchError,
     Form,
     InhomogeneousError,
+    Outcome,
     as_fraction,
+    decide,
+    make_wds_scheme,
     parse_form,
 )
 from formsign.forms import _compositions, _write_rational
 from conftest import all_exponents
 
 F = Fraction
+EXAMPLES = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+WDS = {n: make_wds_scheme(n) for n in (2, 3, 4)}
+
+
+def naive_evaluate(form: Form, point) -> Fraction:
+    """The value at a point as a per-term Fraction sum: the oracle that
+    Form.evaluate's integer evaluation is checked against."""
+    total = F(0)
+    for exps, coeff in form.terms.items():
+        v = coeff
+        for p, e in zip(point, exps):
+            v *= as_fraction(p) ** e
+        total += v
+    return total
+
+
+# ints and p/q of up to 300 bits, and forms in 1-4 variables of degree 0-6
+# with any subset of the monomials (none gives the zero form)
+_BOUND = 2**300
+rationals = st.one_of(
+    st.integers(-_BOUND, _BOUND),
+    st.builds(F, st.integers(-_BOUND, _BOUND), st.integers(1, _BOUND)),
+)
+
+
+@st.composite
+def forms(draw, min_n: int = 1) -> Form:
+    n = draw(st.integers(min_n, 4))
+    degree = draw(st.integers(0, 6))
+    monomials = list(_compositions(degree, n))
+    support = draw(st.lists(st.sampled_from(monomials), unique=True, max_size=12))
+    return Form(n, {e: draw(rationals) for e in support}, degree=degree)
+
+
+# zero, negative and p/q coordinates, also as 'p/q' text
+coordinates = st.one_of(
+    st.just(0),
+    st.integers(-1000, 1000),
+    st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+)
 
 
 class TestAsFraction:
@@ -290,3 +336,25 @@ class TestNormalizeContent:
 def test_compositions_list_every_exponent_vector_in_ascending_order(n):
     for total in range(7):
         assert list(_compositions(total, n)) == sorted(all_exponents(n, total))
+
+
+@EXAMPLES
+@given(forms(), st.data())
+def test_evaluate_matches_the_per_term_sum(form, data):
+    point = data.draw(st.lists(coordinates, min_size=form.n, max_size=form.n))
+    assert form.evaluate(point) == naive_evaluate(form, point)
+
+
+@EXAMPLES
+@given(forms(min_n=2))
+def test_decide_settles_depth_zero_as_the_classifiers_do(form):
+    if form.is_zero:
+        return
+    verdict = decide(form, WDS[form.n], max_depth=1)
+    if form.is_trivially_negative():
+        assert (verdict.outcome, verdict.depth_reached) == (Outcome.INDEFINITE, 0)
+        assert verdict.witness_value == naive_evaluate(form, verdict.witness_point) < 0
+    elif form.is_trivially_positive():
+        assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 0)
+    else:
+        assert verdict.depth_reached == 1

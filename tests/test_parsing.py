@@ -1,16 +1,22 @@
 """Unit tests for the form grammar, parser and formatter."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsign import (
     MAX_DIGITS,
     Form,
     FormSyntaxError,
     InhomogeneousError,
+    Outcome,
     VariableContext,
+    decide,
     format_form,
     parse_form,
 )
@@ -174,13 +180,24 @@ class TestParseErrors:
             ("(2^1000)^1500*x", 8),
             # 100 000-bit factors, each cheap; their products grow in size
             ("*".join(["(2^1000)^100"] * 16) + "*x", 181),
+            # 5 151 terms of 14 450 bits brought over a 4 300-digit denominator
+            ("(x+y+z)^100*" + "9" * MAX_DIGITS + " + 1/" + "9" * MAX_DIGITS + "*x^100", 4313),
         ],
-        ids=["power-of-power", "power", "product-chain"],
+        ids=["power-of-power", "power", "product-chain", "rescaled-sum"],
     )
     def test_large_coefficients_count_against_the_work_limit(self, text, position):
         with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
             parse_form(text, VARS3)
         assert exc.value.position == position
+
+    def test_a_power_of_zero_keeps_no_denominator(self):
+        # a zero base charges no term pair, so raising its 4 300-digit
+        # denominator to the 65 536th power, a 117 MB int, would go unbounded
+        big = "9" * MAX_DIGITS
+        text = f"x + (0/{big})^65536*x + (1/{big}*y - 1/{big}*y)^65536*x"
+        start = time.process_time()
+        assert parse_form(text, "x,y") == parse_form("x", "x,y")
+        assert time.process_time() - start < 1
 
     def test_large_coefficient_under_the_work_limit_parses(self):
         assert parse_form("(2^1000)^100*x", VARS3).terms == {(1, 0, 0): 2**100000}
@@ -188,18 +205,20 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "base",
         [
-            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
-            {(2, 0, 0): 1, (1, 1, 0): -2, (0, 0, 2): 3},
-            {(2, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5},  # mixed degrees
-            {(1, 0, 0): F(1, 3), (0, 1, 0): F(-5, 7), (0, 0, 1): 2**70},
+            ({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 1),
+            ({(2, 0, 0): 1, (1, 1, 0): -2, (0, 0, 2): 3}, 1),
+            ({(2, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5}, 1),  # mixed degrees
+            # 1/3*x - 5/7*y + 2^70*z over the common denominator 21
+            ({(1, 0, 0): 7, (0, 1, 0): -15, (0, 0, 1): 21 * 2**70}, 21),
         ],
     )
     def test_power_bound_covers_the_work(self, base):
+        terms = base[0]
         powers = [_power(base, j, 3) for j in range(12)]
-        done = [len(p) * len(base) for p in powers]
-        bounds = list(_power_step_pairs(base, 12, 3))
+        done = [len(p[0]) * len(terms) for p in powers]
+        bounds = list(_power_step_pairs(terms, 12, 3))
         assert all(b >= d for b, d in zip(bounds, done, strict=True))
-        if all(sum(e) == 1 for e in base):
+        if all(sum(e) == 1 for e in terms):
             assert bounds == done  # exact for a sum of the variables
         # coefficient sizes, which weight the pairs, stay under j * growth
         assert all(_size(p) <= j * _growth(base) for j, p in enumerate(powers) if j)
@@ -302,3 +321,171 @@ class TestFormat:
             f = random_form(rng, n, rng.randint(1, 5))
             names = VARS3[:n]
             assert parse_form(format_form(f, names), names) == f
+
+
+# ---------------------------------------------------------------------------
+# the parser against a Fraction fold of the same expression tree
+
+# a tree is ("num", p, q), ("var", i), ("neg", a), ("+" or "-" or "*", a, b)
+# or ("^", a, e); rendered with only the parentheses the grammar needs
+_ATOM, _POWER, _UNARY, _PRODUCT, _SUM = 5, 4, 3, 2, 1
+
+
+@st.composite
+def trees(draw, n: int, degree: int, depth: int = 3):
+    """A random expression tree, homogeneous of the given degree."""
+    if not depth or not draw(st.integers(0, 3)):
+        # a leaf: a literal, or a product of degree variables
+        if not degree:
+            p = draw(st.integers(0, 10**6))
+            return ("num", p, draw(st.one_of(st.none(), st.integers(1, 10**6))))
+        tree = ("var", draw(st.integers(0, n - 1)))
+        for _ in range(degree - 1):
+            tree = ("*", tree, ("var", draw(st.integers(0, n - 1))))
+        return tree
+    kind = draw(st.sampled_from(["+", "-", "neg", "*", "^"]))
+    if kind == "neg":
+        return ("neg", draw(trees(n, degree, depth - 1)))
+    if kind == "*":
+        left = draw(st.integers(0, degree))
+        return ("*", draw(trees(n, left, depth - 1)), draw(trees(n, degree - left, depth - 1)))
+    if kind == "^":
+        if degree:
+            e = draw(st.sampled_from([e for e in range(1, 5) if degree % e == 0]))
+            return ("^", draw(trees(n, degree // e, depth - 1)), e)
+        e = draw(st.integers(0, 4))  # x^0 is 1, so any base works
+        return ("^", draw(trees(n, 0 if e else draw(st.integers(0, 2)), depth - 1)), e)
+    return (kind, draw(trees(n, degree, depth - 1)), draw(trees(n, degree, depth - 1)))
+
+
+def render(tree, names) -> tuple[str, int]:
+    """(text, precedence) of a tree; a child is parenthesized only where the
+    grammar would otherwise read it differently."""
+
+    def child(sub, least):
+        text, prec = render(sub, names)
+        return text if prec >= least else f"({text})"
+
+    kind = tree[0]
+    if kind == "num":
+        _, p, q = tree
+        return (str(p) if q is None else f"{p}/{q}"), _ATOM
+    if kind == "var":
+        return names[tree[1]], _ATOM
+    if kind == "neg":
+        return "-" + child(tree[1], _UNARY), _UNARY
+    if kind == "^":
+        return f"{child(tree[1], _ATOM)}^{tree[2]}", _POWER
+    if kind == "*":
+        return f"{child(tree[1], _PRODUCT)}*{child(tree[2], _UNARY)}", _PRODUCT
+    return f"{child(tree[1], _SUM)} {kind} {child(tree[2], _PRODUCT)}", _SUM
+
+
+def fold(tree, n: int) -> dict:
+    """The tree's expansion as a dict of Fractions, term by term."""
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                out[k] = out.get(k, F(0)) + va * vb
+        return out
+
+    def plus(a: dict, b: dict, sign: int) -> dict:
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = out.get(k, F(0)) + sign * v
+        return out
+
+    kind = tree[0]
+    if kind == "num":
+        _, p, q = tree
+        return {(0,) * n: F(p, q or 1)}
+    if kind == "var":
+        return {tuple(int(i == tree[1]) for i in range(n)): F(1)}
+    if kind == "neg":
+        return {k: -v for k, v in fold(tree[1], n).items()}
+    if kind == "^":
+        base, out = fold(tree[1], n), {(0,) * n: F(1)}
+        for _ in range(tree[2]):
+            out = times(out, base)
+        return out
+    a, b = fold(tree[1], n), fold(tree[2], n)
+    return times(a, b) if kind == "*" else plus(a, b, -1 if kind == "-" else 1)
+
+
+@st.composite
+def expressions(draw):
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    return n, draw(trees(n, degree))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(expressions())
+def test_parse_matches_the_fraction_fold(case):
+    n, tree = case
+    names = VARS3[:n]
+    text, _ = render(tree, names)
+    assert parse_form(text, names) == Form(n, fold(tree, n))
+
+
+def test_rendered_precedence_reads_as_the_grammar_says():
+    # a p/q literal is one atom, so a power raises the whole ratio
+    assert render(("^", ("num", 1, 3), 2), VARS3)[0] == "1/3^2"
+    assert parse_form("1/3^2*x", VARS3).terms == {(1, 0, 0): F(1, 9)}
+    tree = ("-", ("var", 0), ("+", ("var", 1), ("neg", ("var", 2))))
+    assert render(tree, VARS3)[0] == "x - (y + -z)"
+    assert parse_form("x - (y + -z)", VARS3) == Form(3, fold(tree, 3))
+
+
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    c = 2
+    while len(primes) < count:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def test_many_distinct_denominators_end_in_bounded_time():
+    # 3 000 terms 1/p*v_a*v_b over 80 variables with pairwise coprime p: over
+    # their common denominator of 39 000 bits, dividing every coefficient
+    # once takes more than the work limit allows, which is charged at
+    # position 0, before any division
+    names = [f"v{i}" for i in range(80)]
+    pairs = [(a, b) for a in range(80) for b in range(a, 80)]
+    text = " + ".join(
+        f"1/{p}*{names[a]}*{names[b]}" for p, (a, b) in zip(_primes(3000), pairs)
+    )
+    start = time.process_time()
+    with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
+        parse_form(text, names)
+    assert exc.value.position == 0
+    assert time.process_time() - start < 5
+
+
+_FRACTION_ARITHMETIC = (
+    "__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ "
+    "__rtruediv__ __floordiv__ __rfloordiv__ __mod__ __rmod__ __divmod__ "
+    "__pow__ __rpow__ __neg__ __pos__ __abs__ __eq__ __lt__ __le__ __gt__ __ge__"
+).split()
+
+
+def test_parse_and_psd_decide_do_no_fraction_arithmetic(monkeypatch, wds3):
+    calls: Counter = Counter()
+    for name in _FRACTION_ARITHMETIC:
+
+        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    text = "(1/3*x - 2/5*y)^2 + 1/7*(x*z + y*z) - 1/11*z^2 + 3/4*z^2 + 1/6*x*y"
+    form = parse_form(text, VARS3)
+    verdict = decide(form, wds3)
+    monkeypatch.undo()
+    assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 1)
+    assert not calls

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formsign import (
     MAX_DIGITS,
@@ -264,6 +266,33 @@ class TestValidation:
         assert not v.ok
         assert v.failures()[0] == "matrix 1: some column does not sum to 1"
         assert any("column" in msg for msg in v.failures())
+
+    def test_short_rational_column_sum_flagged(self):
+        m = NormalizedMatrix(_rows("1/2 1/3", "1/3 2/3"))  # column 1 sums to 5/6
+        with pytest.raises(SchemeError) as exc:
+            SubdivisionScheme("short", 2, (m,))
+        assert exc.value.validation.failures()[0] == "matrix 1: some column does not sum to 1"
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from("0 1 1/2 1/3 2/3 1/4 3/4 1/6 5/6".split()),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_column_sums_agree_with_fraction_sums(self, rows):
+        # the check sums each cell over its common denominator in ints
+        rows = [[F(v) for v in row] for row in rows]
+        try:
+            SubdivisionScheme("s", len(rows), (NormalizedMatrix(rows),))
+            problems = []
+        except SchemeError as exc:
+            problems = exc.validation.failures()
+        short = any(sum(col, F(0)) != 1 for col in zip(*rows))
+        assert ("matrix 1: some column does not sum to 1" in problems) == short
 
     def test_negative_entry_flagged(self):
         m = NormalizedMatrix(_rows("3/2 0", "-1/2 1"))
