@@ -161,23 +161,22 @@ class Form:
 
         The form is homogeneous, so with the point a / D over a common
         denominator D, F(a / D) = F(a) / D^degree: the sum runs on ints, with
-        each coordinate's powers computed once, and one Fraction is built.
+        each power of a coordinate that a term needs computed once, and one
+        Fraction is built.
         """
         pt = self._check_point(point)
         coords, den = _cleared(pt)
         coeffs, scale = _cleared(self.terms.values())
-        tops = map(max, zip(*self.terms))  # each variable's top exponent
-        powers = []  # powers[i][e] = coords[i]^e
-        for a, top in zip(coords, tops):
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * a)
-            powers.append(row)
+        # powers[i][e] = coords[i]^e, for the exponents e that occur
+        powers: list[dict[int, int]] = [{} for _ in coords]
         total = 0
         for exps, v in zip(self.terms, coeffs):
-            for row, e in zip(powers, exps):
+            for a, cache, e in zip(coords, powers, exps):
                 if e:
-                    v *= row[e]
+                    p = cache.get(e)
+                    if p is None:
+                        p = cache[e] = a**e
+                    v *= p
             total += v
         return Fraction(total, scale * den**self.degree)
 

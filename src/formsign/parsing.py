@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .forms import Form, _mul, _read_int
@@ -130,7 +130,9 @@ class _Parser:
 
     A value is a term map of int coefficients over one positive common
     denominator: a product multiplies the denominators, a power raises it,
-    and a sum brings its summands to the lcm of theirs.  parse_form divides
+    and a sum brings its summands to the lcm of theirs.  A literal p/q is
+    in lowest terms, a one-term factor cancels against the other factor's
+    denominator (_times), and an empty value is over 1.  parse_form divides
     once at the end, one Fraction per term.
     """
 
@@ -186,11 +188,22 @@ class _Parser:
             op, _, at = self.advance()
             parts.append((self.term(), -1 if op == "-" else 1, at))
         # every summand goes over the lcm of all their denominators at once,
-        # so none is rescaled again at a later operator; each rescaling is
-        # charged like a product by a constant
-        den = lcm(*(old for (_, old), _, _ in parts))
+        # so none is rescaled again at a later operator.  Each summand is
+        # charged at its operator, by the sizes of the ints involved: a step
+        # of the lcm as a gcd and a product, then the division giving its
+        # factor and the product of each of its terms by that factor (an
+        # empty summand has denominator 1)
+        den = 1
+        for (_, old), _, at in parts:
+            if old > 1 and den > 1 and old != den:
+                self.charge(2 * _pair_weight(den.bit_length(), old.bit_length()), at)
+                den = lcm(den, old)
+            elif old > 1:
+                den = old
         out: dict = {}
         for (terms, old), sign, at in parts:
+            if old > 1 and old != den:
+                self.charge(_pair_weight(den.bit_length(), old.bit_length()), at)
             factor = sign * (den // old)
             if factor != sign:
                 weight = _pair_weight(_bits(terms), factor.bit_length())
@@ -201,7 +214,7 @@ class _Parser:
                     out[k] = v
                 elif k in out:
                     del out[k]
-        return out, den
+        return (out, den) if out else ({}, 1)
 
     def term(self) -> Value:
         value = self.unary()
@@ -210,7 +223,7 @@ class _Parser:
             rhs = self.unary()
             weight = _pair_weight(_size(value), _size(rhs))
             self.charge(len(value[0]) * len(rhs[0]) * weight, star_at)
-            value = (_mul(value[0], rhs[0]), value[1] * rhs[1])
+            value = _times(value, rhs)
         return value
 
     def unary(self) -> Value:
@@ -261,7 +274,8 @@ class _Parser:
                     raise FormSyntaxError("expected an integer denominator", dat)
                 if den == 0:
                     raise FormSyntaxError("zero denominator", dat)
-            return ({(0,) * n: value} if value else {}), den
+            g = gcd(value, den)  # gcd(0, den) is den
+            return ({(0,) * n: value // g} if value else {}), den // g
         if kind == "NAME":
             try:
                 j = self.ctx.index(value)
@@ -329,6 +343,24 @@ def _pair_weight(a_bits: int, b_bits: int) -> int:
     _WORD_PRODUCTS_PER_PAIR.  Coefficients of under 960 bits count once."""
     words = (a_bits // 64 + 1) * (b_bits // 64 + 1)
     return 1 + words // _WORD_PRODUCTS_PER_PAIR
+
+
+def _times(p: Value, q: Value) -> Value:
+    """p * q.  A one-term factor's coefficient is first cancelled against the
+    other factor's denominator, as Fraction cancels, so the product of two
+    one-term values in lowest terms is in lowest terms; a product of
+    several terms by several keeps both denominators."""
+    (pt, pd), (qt, qd) = p, q
+    if len(qt) == 1:
+        ((k, v),) = qt.items()
+        g = gcd(v, pd)
+        qt, pd = {k: v // g}, pd // g
+    if len(pt) == 1:
+        ((k, v),) = pt.items()
+        g = gcd(v, qd)
+        pt, qd = {k: v // g}, qd // g
+    terms = _mul(pt, qt)
+    return (terms, pd * qd) if terms else ({}, 1)
 
 
 def _power(p: Value, e: int, n: int) -> Value:

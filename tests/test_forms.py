@@ -1,6 +1,7 @@
 """Unit tests for the exact polynomial core."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -358,3 +359,17 @@ def test_decide_settles_depth_zero_as_the_classifiers_do(form):
         assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 0)
     else:
         assert verdict.depth_reached == 1
+
+
+def test_evaluate_a_sparse_form_of_high_degree_in_little_memory():
+    # only the powers the two terms use are built, each about 28 kB, not
+    # every power of 11 up to the 65 536th (gigabytes)
+    form = Form(2, {(65536, 0): 1, (0, 65536): -1})
+    tracemalloc.start()
+    try:
+        value = form.evaluate([F(11, 12), F(1, 12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == F(11**65536 - 1, 12**65536)
+    assert peak < 4 * 2**20

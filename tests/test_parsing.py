@@ -199,6 +199,25 @@ class TestParseErrors:
         assert parse_form(text, "x,y") == parse_form("x", "x,y")
         assert time.process_time() - start < 1
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "{P}*{D}/{D}",
+            "{P} + 0/{D}*v0^2",
+            "1/{D}*{D}*{P}",
+            "{P} + (1/{D}*v0^2 - 1/{D}*v0^2)",
+        ],
+        ids=["literal-in-lowest-terms", "zero-literal", "one-term-product", "empty-sum"],
+    )
+    def test_a_value_equal_to_an_integer_one_parses(self, template):
+        # P, the square of the sum of 101 variables, has 5 151 terms: over a
+        # 4 300-digit denominator, dividing them once at the end would pass
+        # the work limit
+        names = [f"v{i}" for i in range(101)]
+        square = "(" + "+".join(names) + ")^2"
+        text = template.format(P=square, D="9" * MAX_DIGITS)
+        assert parse_form(text, names) == parse_form(square, names)
+
     def test_large_coefficient_under_the_work_limit_parses(self):
         assert parse_form("(2^1000)^100*x", VARS3).terms == {(1, 0, 0): 2**100000}
 
@@ -464,6 +483,24 @@ def test_many_distinct_denominators_end_in_bounded_time():
     with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
         parse_form(text, names)
     assert exc.value.position == 0
+    assert time.process_time() - start < 5
+
+
+def test_common_denominator_counts_against_the_work_limit():
+    # 129 terms 1/(2^p - 1)*v_a*v_b, p the primes from 13 000 to 14 283, so
+    # the denominators are pairwise coprime and of 3 900 to 4 300 digits:
+    # each step of their lcm is charged at its summand's operator, before
+    # the lcm is taken, and the parse ends there
+    ps = [p for p in range(13000, 14284) if all(p % d for d in range(2, 120))]
+    names = [f"v{i}" for i in range(20)]
+    pairs = [(a, b) for a in range(20) for b in range(a, 20)]
+    text = " + ".join(
+        f"1/{2**p - 1}*{names[a]}*{names[b]}" for p, (a, b) in zip(ps, pairs)
+    )
+    start = time.process_time()
+    with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
+        parse_form(text, names)
+    assert exc.value.position > 0 and text[exc.value.position] == "+"
     assert time.process_time() - start < 5
 
 
