@@ -40,6 +40,16 @@ biased slot lies in [1, 2^w) without carrying into the next, and its top
 bit is set exactly when the coefficient is nonnegative.  So "all
 coefficients >= 0" is one AND against the bias, and only kept or negative
 children are decoded slot by slot.
+
+Most children are pruned, so each level runs in two passes.  A parent with
+coefficients of more than _COARSE_BITS bits is first floored to that many
+(each v_j shifted right by the same s), and its floored children are computed
+in the narrow slots that the floored coefficients need.  Table entries are
+nonnegative and v_j >= 2^s (v_j >> s), so a floored child with no negative
+coefficient proves the child nonnegative: it is counted as pruned and its
+full-width product is never formed.  Every other child, and every child of
+a narrower parent, is computed exactly as above, so the children, their
+order and the counts are those of the exact pass alone.
 """
 
 from __future__ import annotations
@@ -60,6 +70,14 @@ IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
 # a substitution table's size bound: representative cells times the square of
 # the monomial count, C(d + n - 1, n - 1); wds3 reaches it past degree 43
 MAX_TABLE_ENTRIES = 10**6
+
+# _expand floors a parent of more bits than this to this many before its
+# exact pass.  The floored multipliers fit one 30-bit digit of a Python int.
+# With table entries of at most 28 bits the floored children fit 32- or
+# 64-bit slots, and on the degree-24 tables of wds3, midpoint3 and
+# trisection3 they take a width that _Table.__init__ or the exact pass
+# builds anyway, so a cold run seldom walks a new width
+_COARSE_BITS = 16
 
 
 class Outcome(Enum):
@@ -383,12 +401,34 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
         # one table entry, so |out[r]| <= maxc * sum |v_j| < 2^(w-1): biased
         # by 2^(w-1), every slot holds out[r] + 2^(w-1) in [1, 2^w), carries
         # nothing into the next slot, and has its top bit set exactly when
-        # out[r] >= 0
-        w = _slot_width(table.maxc * sum(abs(v) for _, v in items))
-        k = w // 8
-        half = 1 << (w - 1)
-        top = table.top(w)
+        # out[r] >= 0.
+        # First the floored pass: a parent of more than _COARSE_BITS bits is
+        # floored to low_j = v_j >> s, zeros dropped.  v_j >= 2^s * low_j and
+        # every entry is >= 0, so 2^s times a floored child is at most the
+        # child slot by slot, and the same bound on sum |low_j| fits the
+        # floored child in low_w-bit slots.  A floored child with no
+        # negative slot proves the child nonnegative; only the others pay
+        # the full-width product, whose width is found on the first of them.
+        s = max(abs(v) for _, v in items).bit_length() - _COARSE_BITS
+        low = [(j, c) for j, v in items if (c := v >> s)] if s > 0 else []
+        if low:
+            low_w = _slot_width(table.maxc * sum(abs(c) for _, c in low))
+            low_top = table.top(low_w)
+        w = 0
         for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
+            if low:
+                packs = table.packs(rep, low_w)
+                y = low_top
+                for j, c in low:
+                    y += c * packs[pin[j]]
+                if y & low_top == low_top:
+                    pruned += 1
+                    continue
+            if not w:
+                w = _slot_width(table.maxc * sum(abs(v) for _, v in items))
+                k = w // 8
+                half = 1 << (w - 1)
+                top = table.top(w)
             packs = table.packs(rep, w)
             x = top
             for j, v in items:
@@ -438,7 +478,8 @@ def expand_level(
 
     def branch(child) -> Branch:
         items, path = child
-        return Branch(Form(scheme.n, {exps[r]: v for r, v in items}, degree), path)
+        terms = {exps[r]: Fraction(v) for r, v in items}
+        return Branch(Form._of(scheme.n, terms, degree), path)
 
     children, pruned, negative = _expand(parents, table)
     negative = None if negative is None else branch(negative)

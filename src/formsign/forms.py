@@ -143,6 +143,18 @@ class Form:
         else:
             self.degree = 0 if degree is None else degree
 
+    @classmethod
+    def _of(cls, n: int, terms: dict[Exponents, Fraction], degree: int) -> Form:
+        """The form with `terms`, taken as they are, with none of __init__'s
+        checks: the caller guarantees n >= 1, exponent tuples of n
+        nonnegative ints summing to `degree`, and nonzero Fraction
+        coefficients."""
+        form = object.__new__(cls)
+        form.n = n
+        form.terms = terms
+        form.degree = degree
+        return form
+
     @property
     def is_zero(self) -> bool:
         return not self.terms

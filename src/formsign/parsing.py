@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .forms import Form, _mul, _read_int
+from .forms import Form, InhomogeneousError, _mul, _read_int
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -385,8 +385,13 @@ def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> F
         # each Fraction reduces its coefficient by one gcd with den
         weight = _pair_weight(_bits(terms), den.bit_length())
         parser.charge(len(terms) * weight, 0)
-        terms = {k: Fraction(v, den) for k, v in terms.items()}
-    return Form(ctx.n, terms)
+    # the parser builds only exponent tuples of ctx.n ints >= 0 and drops
+    # zero coefficients, so of Form's checks only homogeneity is left
+    degrees = set(map(sum, terms))
+    if len(degrees) > 1:
+        raise InhomogeneousError(degrees)
+    terms = {k: Fraction(v, den) for k, v in terms.items()}
+    return Form._of(ctx.n, terms, degrees.pop() if degrees else 0)
 
 
 def format_form(form: Form, variables: Iterable[str] | str | VariableContext) -> str:

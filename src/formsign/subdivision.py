@@ -49,6 +49,29 @@ def barycenter(n: int) -> tuple[Fraction, ...]:
     return (Fraction(1, n),) * n
 
 
+def _int_det(entries: list[int], n: int) -> int:
+    """The determinant of the n x n int matrix with the given row-major
+    entries, by Bareiss elimination: after step k every entry below and
+    right of the pivot is a (k + 2)-order minor, so each division by the
+    previous pivot is exact and no entry outgrows a minor."""
+    m = [entries[i : i + n] for i in range(0, n * n, n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
 class NormalizedMatrix:
     """Square rational matrix whose columns name subsimplex vertices.
 
@@ -92,25 +115,10 @@ class NormalizedMatrix:
         return tuple(zip(*self.rows))
 
     def det(self) -> Fraction:
-        """Exact determinant by Gaussian elimination."""
-        n = self.n
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    factor = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= factor * m[col][c]
-        return det
+        """Exact determinant, by fraction-free elimination on the entries
+        cleared to ints over their common denominator D: det = det(ints) / D^n."""
+        entries, den = _cleared(v for row in self.rows for v in row)
+        return Fraction(_int_det(entries, self.n), den**self.n)
 
     def apply(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """Matrix times column vector; maps T_n points into this cell."""
@@ -403,7 +411,7 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
             problems.append(f"matrix {idx}: some column does not sum to 1")
         if any(v.numerator < 0 for row in m.rows for v in row):
             problems.append(f"matrix {idx}: negative entry")
-        d = m.det()
+        d = Fraction(_int_det(entries, n), den**n)
         if not d:
             problems.append(f"matrix {idx}: singular (zero volume cell)")
         dets.append(d)
@@ -505,19 +513,25 @@ def _barycentric(m: NormalizedMatrix, d: Fraction, point: tuple) -> list[Fractio
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Whether repeated subdivision shrinks every cell to a point.
+    """A level-1 test of whether repeated subdivision shrinks every cell to
+    a point.
 
-    A cell that keeps two distinct vertices of the base simplex (two
-    columns that are standard basis vectors) keeps that full edge at every
-    level, so diameters cannot go to zero; such column pairs are listed in
-    `shared_edges` as (matrix index, (column, column)), 1-based.  When no
-    cell keeps an edge, cells contract and `contraction_ratio_sq` holds the
-    largest squared diameter of a first-level cell over that of the standard
-    simplex, which is 2.  It describes level 1 only and is no bound for
-    later levels: wds3's ratio is 1/3, yet a level-2 cell reaches squared
-    diameter 13/54 > 2 * (1/3)**2.  When every cell is a scaled copy of the
-    simplex (midpoint3, trisection3), the largest level-k squared diameter
-    is exactly 2 * ratio**k.
+    `convergent` is False when some first-level cell keeps two distinct
+    vertices of the base simplex (two columns that are standard basis
+    vectors), and True otherwise; such column pairs are listed in
+    `shared_edges` as (matrix index, (column, column)), 1-based.  This is
+    not an exact test.  A full edge kept at level 1 can be lost at later
+    levels, so a convergent scheme can be reported False: the bisection of
+    T_4 into (e1, e3, e4, m) and (e2, e3, e4, m), m the midpoint of e1 e2,
+    is, though its largest squared cell diameter falls to 13/32 by level 8.
+    True is not proved beyond level 1 either, though no scheme is known
+    for which it is wrong.  When True, `contraction_ratio_sq` holds the
+    largest squared diameter of a first-level cell over that of the
+    standard simplex, which is 2.  It describes level 1 only and is no
+    bound for later levels: wds3's ratio is 1/3, yet a level-2 cell
+    reaches squared diameter 13/54 > 2 * (1/3)**2.  When every cell is a
+    scaled copy of the simplex (midpoint3, trisection3), the largest
+    level-k squared diameter is exactly 2 * ratio**k.
     """
 
     convergent: bool

@@ -452,35 +452,104 @@ def test_many_variables_at_a_low_degree():
     assert_packs_decode_to(table, substituted_columns(scheme, table), 64)
 
 
-def random_parent(rng, size, bits):
-    """Items of a random nonzero parent with coefficients up to 2^bits in
-    absolute value, about one in four of them negative."""
+def random_parent(rng, size, kind):
+    """Items of a random nonzero parent.  An int kind gives coefficients up
+    to 2^kind in absolute value, about one in four of them negative;
+    "mixed" puts one 300-bit coefficient among coefficients +-1; "cancel"
+    gives a, -(a - delta) to neighbouring columns, a of 40 to 300 bits and
+    0 <= delta <= 3, so that a child is 0 or just above it in the slots
+    where the two columns' expansions agree, and a floored child may read
+    -1 there.  Half of these pairs are x_1^d, x_1^(d-1) x_2, the first two
+    columns, whose expansions agree in many slots under a bisection."""
     columns = sorted(rng.sample(range(size), rng.randint(1, size)))
-    return [(j, rng.choice((1, 1, 1, -1)) * rng.randint(1, 2**bits)) for j in columns]
+    if kind == "mixed":
+        big = rng.choice(columns)
+        return [
+            (j, rng.choice((1, -1)) * (rng.randint(2**299, 2**300) if j == big else 1))
+            for j in columns
+        ]
+    if kind == "cancel" and size > 1:
+        j = rng.choice((0, rng.randrange(size - 1)))
+        a = rng.randint(2**40, 2 ** rng.choice((41, 120, 300)))
+        return [(j, a), (j + 1, rng.randint(0, 3) - a)]
+    return [(j, rng.choice((1, 1, 1, -1)) * rng.randint(1, 2**kind)) for j in columns]
 
 
 def widths(table):
     return sorted({w for _, w in table._packs})
 
 
+@pytest.fixture
+def packs_asked(monkeypatch):
+    """Every (rep, width) that _Table.packs is asked for, in order."""
+    asked = []
+    packs = engine._Table.packs
+
+    def record(table, rep, w):
+        asked.append((rep, w))
+        return packs(table, rep, w)
+
+    monkeypatch.setattr(engine._Table, "packs", record)
+    return asked
+
+
+def two_pass_model(frontier, table, columns):
+    """The (rep, width) pairs engine._expand asks the table's packs for, and
+    how many children of parents wider than engine._COARSE_BITS its floored
+    pass prunes and how many only its exact pass prunes, from one
+    multiply-add per (parent term, expansion entry)."""
+    asked, pruned = [], {"floored": 0, "exact": 0}
+
+    def child(rep, pin, items):
+        out = [0] * len(table.exponents)
+        for j, v in items:
+            for r, c in columns[rep][pin[j]]:
+                out[r] += c * v
+        return out
+
+    for items, _ in frontier:
+        s = max(abs(v) for _, v in items).bit_length() - engine._COARSE_BITS
+        low = [(j, v >> s) for j, v in items] if s > 0 else []
+        low_w = engine._slot_width(table.maxc * sum(abs(c) for _, c in low))
+        w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
+        for rep, pin, _ in table.cells:
+            if low:
+                asked.append((rep, low_w))
+                if min(child(rep, pin, low)) >= 0:
+                    pruned["floored"] += 1
+                    continue
+            asked.append((rep, w))
+            out = child(rep, pin, items)
+            if min(out) >= 0:
+                pruned["exact"] += bool(low)
+            elif sum(out) < 0:
+                return asked, pruned
+    return asked, pruned
+
+
 @pytest.mark.parametrize("name", KERNEL_SCHEMES)
-def test_packed_kernel_matches_sparse_loop(name):
+def test_packed_kernel_matches_sparse_loop(name, packs_asked):
     scheme = KERNEL_SCHEMES[name]()
     rng = random.Random(f"packed:{name}")
     tables = [engine._Table(scheme, d) for d in (1, 2, 3 if scheme.n < 5 else 2)]
     columns = {id(t): substituted_columns(scheme, t) for t in tables}
-    seen = {"kept": 0, "pruned": 0, "negative": 0}
-    for _ in range(20):
+    seen = {"kept": 0, "pruned": 0, "negative": 0, "floored": 0, "exact": 0}
+    for _ in range(30):
         table = rng.choice(tables)
         size = len(table.exponents)
-        bits = rng.choices((1, 8, 40, 120, 300), k=rng.randint(1, 4))
-        frontier = [(random_parent(rng, size, b), (p,)) for p, b in enumerate(bits, 1)]
+        kinds = rng.choices((1, 8, 40, 120, 300, "mixed", "cancel"), k=rng.randint(1, 4))
+        frontier = [(random_parent(rng, size, kind), (p,)) for p, kind in enumerate(kinds, 1)]
+        packs_asked.clear()
         got = engine._expand(frontier, table)
         assert got == sparse_expand(frontier, table, columns[id(table)])
-        children, pruned, negative = got
+        asked, pruned = two_pass_model(frontier, table, columns[id(table)])
+        assert packs_asked == asked
+        children, _, negative = got
         seen["kept"] += len(children)
-        seen["pruned"] += pruned
+        seen["pruned"] += got[1]
         seen["negative"] += negative is not None
+        seen["floored"] += pruned["floored"]
+        seen["exact"] += pruned["exact"]
     assert all(seen.values()), seen
     assert max(len(widths(t)) for t in tables) > 1
 
@@ -539,9 +608,48 @@ class TestSlotEdges:
         assert engine._expand([(negative, ())], table) == ([], 0, (negative, (1,)))
         # the table also keeps the 32-bit packs its maxc walk built
         assert widths(table) == sorted({32, w})
-        # one past the edge takes the next width
-        assert engine._expand([([(0, edge + 1)], ())], table) == ([], 1, None)
+        # one past the edge takes the next width; the -1 keeps the floored
+        # child from certifying it, so it reaches the exact pass
+        past = [(0, edge + 1), (1, -1)]
+        assert engine._expand([(past, ())], table) == ([(past, (1,))], 0, None)
         assert widths(table) == sorted({32, w, 2 * w})
+
+    def test_parents_of_at_most_coarse_bits_skip_the_floored_pass(
+        self, table, packs_asked
+    ):
+        # 2^15 has 16 bits: the exact pass alone, asked once for its packs
+        narrow = [(0, 2**15), (1, -1)]
+        assert engine._expand([(narrow, ())], table) == ([(narrow, (1,))], 0, None)
+        assert packs_asked == [(0, 32)]
+        # 2^16 has 17 bits: the floored child 2x - y fails, then the exact one
+        packs_asked.clear()
+        wide = [(0, 2**16), (1, -1)]
+        assert engine._expand([(wide, ())], table) == ([(wide, (1,))], 0, None)
+        assert packs_asked == [(0, 32), (0, 32)]
+
+
+def test_floored_minus_one_falls_through_to_an_exact_zero(wds2, packs_asked):
+    # a (x - y) with a = 2^40 + 1: under the first wds2 cell the child is
+    # 2a x + 0 y, and the 25-bit shift floors -a to -(2^15 + 1), one past
+    # a >> 25 = 2^15, so the floored y slot reads -1; the exact pass prunes it
+    a = 2**40 + 1
+    table = engine._Table(wds2, 1)
+    packs_asked.clear()
+    assert engine._expand([([(0, a), (1, -a)], ())], table) == (
+        [], 1, ([(0, -1)], (2,))
+    )
+    # each cell asks for its floored packs, then for its exact ones
+    assert packs_asked == [(0, 32), (0, 64), (0, 32), (0, 64)]
+
+
+def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
+    table = engine._Table(wds3, 2)
+    rng = random.Random("wide positive")
+    frontier = [
+        ([(j, rng.randint(2**299, 2**300)) for j in range(6)], (p,)) for p in range(5)
+    ]
+    assert engine._expand(frontier, table) == ([], 30, None)
+    assert widths(table) == [32]
 
 
 class TestWitnessPoint:

@@ -156,6 +156,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nonnegative ints"):
             Form(2, {(-1, 3): 1})
 
+    @pytest.mark.parametrize("exps", [(1.0, 1), (True, 1), ("1", 1), (1, None)])
+    def test_exponents_must_be_ints(self, exps):
+        # parse_form and expand_level build their forms without these checks;
+        # the public constructor keeps every one
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            Form(2, {exps: 1})
+
+    def test_parsed_form_equals_the_checked_one(self):
+        f = parse_form("x^2 - 3/4*x*y + 5*y^2", "x,y")
+        assert all(type(c) is F and c for c in f.terms.values())
+        assert f == Form(2, dict(f.terms)) and f.degree == 2
+
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
             Form(2, {(1, 1): 0.25})

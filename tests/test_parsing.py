@@ -20,6 +20,7 @@ from formsign import (
     format_form,
     parse_form,
 )
+from formsign.forms import _write_rational
 from formsign.parsing import _growth, _power, _power_step_pairs, _size
 from conftest import MIXED_SIGN_TEXT, VARS3, random_form
 
@@ -494,8 +495,10 @@ def test_common_denominator_counts_against_the_work_limit():
     ps = [p for p in range(13000, 14284) if all(p % d for d in range(2, 120))]
     names = [f"v{i}" for i in range(20)]
     pairs = [(a, b) for a in range(20) for b in range(a, 20)]
+    # _write_rational writes the denominators whatever the int-to-str limit
     text = " + ".join(
-        f"1/{2**p - 1}*{names[a]}*{names[b]}" for p, (a, b) in zip(ps, pairs)
+        f"1/{_write_rational(2**p - 1)}*{names[a]}*{names[b]}"
+        for p, (a, b) in zip(ps, pairs)
     )
     start = time.process_time()
     with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:

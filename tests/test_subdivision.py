@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -86,6 +87,34 @@ class TestNormalizedMatrix:
     def test_det_with_row_swap_pivot(self):
         m = NormalizedMatrix(_rows("0 1", "1 0"))
         assert m.det() == -1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.sampled_from([0, 0, 1, -1, 2]).flatmap(
+                        lambda k: st.fractions(-4, 4, max_denominator=9).map(lambda f: k * f)
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_det_matches_permutation_expansion(self, rows):
+        # many zero entries, so pivots must be searched and some are singular
+        n = len(rows)
+        expected = F(0)
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+            term = F((-1) ** inversions)
+            for i, j in enumerate(perm):
+                term *= rows[i][j]
+            expected += term
+        assert NormalizedMatrix(rows).det() == expected
 
     def test_apply(self, wds3):
         w = wds3.matrices[0]
