@@ -5,8 +5,8 @@ carries every direction of the orthant.  This package subdivides the simplex
 into rational subsimplexes, restricts the form to each cell by an exact
 linear substitution, prunes cells whose restricted coefficients are all
 nonnegative, and stops with an exact rational counterexample the moment a
-cell's barycenter value goes negative.  All arithmetic is over
-`fractions.Fraction`; there is no floating point anywhere in a verdict.
+cell's barycenter value goes negative.  All arithmetic is exact: Fractions at
+the API, ints over common denominators inside, and no floats in any verdict.
 """
 
 from .engine import (

@@ -81,9 +81,9 @@ def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
 
 @contextmanager
 def _full_digits():
-    # str() refuses ints past sys.get_int_max_str_digits() (Python >= 3.10.7),
-    # so main lifts it around every command.  In the library it still
-    # applies to printing, as in any Python library
+    # int() and str() refuse ints past sys.get_int_max_str_digits() (Python
+    # >= 3.10.7), so main lifts it around argparse's int() and every command.
+    # In the library it still applies to printing, as in any Python library
     old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if old:
         sys.set_int_max_str_digits(0)
@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     with _full_digits():
+        args = parser.parse_args(argv)
         try:
             return args.func(args)
         except Exception as exc:  # exits 1 and 2 are verdicts, so no error may reach them

@@ -19,10 +19,10 @@ inconclusive.  All arithmetic is exact.
 
 The input form is read once as its content vector (forms._content): coprime
 integer coefficients, a positive multiple of the form, so the depth-0 tests
-are an int sum and an int minimum, and Fraction arithmetic runs only to map
-and evaluate a witness.  Branch forms are kept as such vectors too; they
-become Forms only at the public expand_level boundary.  The engine clears
-each matrix's denominators once (scaling a substitution matrix by a
+are an int sum and an int minimum, and a witness is mapped and evaluated
+on ints too.  Branch forms are kept as such vectors; they become Forms only
+at the public expand_level boundary.  The engine substitutes each matrix's
+cleared ints (NormalizedMatrix.ints; scaling a substitution matrix by a
 positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
 and degree, the expansion of every monomial's image.  Cells that differ by
@@ -62,7 +62,7 @@ from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Form, _cleared, _compositions, _content
+from .forms import DimensionMismatchError, Form, _compositions, _content
 from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
@@ -149,10 +149,9 @@ class _Table:
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
-        images = []
-        for mat in scheme.matrices:
-            entries, _ = _cleared(v for row in mat.rows for v in row)
-            images.append(tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)))
+        images = [
+            tuple(m.ints[i : i + n] for i in range(0, n * n, n)) for m in scheme.matrices
+        ]
         classes = _classes(images)
         self._reps = {m: images[m] for m, (rep, _, _) in enumerate(classes) if rep == m}
         reps = len(self._reps)

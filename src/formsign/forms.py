@@ -6,8 +6,8 @@ rational coefficients.  Everything is exact: coefficients and points are
 `fractions.Fraction` at the API, and floats are refused on sight so no
 rounding can sneak into a verdict.  Inside, the per-query work runs on
 Python ints over a common denominator (_cleared): evaluation, content
-normalization (_content) and the parser's values, each building Fractions
-only for its result.
+normalization (_content), the parser's values and subdivision cells, each
+building Fractions only for its result.
 """
 
 from __future__ import annotations

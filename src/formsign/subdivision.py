@@ -18,6 +18,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import (
@@ -49,12 +51,12 @@ def barycenter(n: int) -> tuple[Fraction, ...]:
     return (Fraction(1, n),) * n
 
 
-def _int_det(entries: list[int], n: int) -> int:
+def _int_det(entries: Sequence[int], n: int) -> int:
     """The determinant of the n x n int matrix with the given row-major
     entries, by Bareiss elimination: after step k every entry below and
     right of the pivot is a (k + 2)-order minor, so each division by the
     previous pivot is exact and no entry outgrows a minor."""
-    m = [entries[i : i + n] for i in range(0, n * n, n)]
+    m = [list(entries[i : i + n]) for i in range(0, n * n, n)]
     sign, prev = 1, 1
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if m[r][k]), None)
@@ -75,21 +77,27 @@ def _int_det(entries: list[int], n: int) -> int:
 class NormalizedMatrix:
     """Square rational matrix whose columns name subsimplex vertices.
 
+    The entries are stored once, cleared (forms._cleared): `ints` lists
+    them row by row over `den`, their least common denominator, so column
+    j is ints[j::n].  That canonical pair is what equality, hashing and
+    every computation on the cell read; Fractions are built for results.
+
     The constructor pins shape and exactness only.  Whether the columns
     really lie on the simplex (nonnegative, summing to 1) and span a
     positive-volume cell is checked when matrices form a SubdivisionScheme,
     so a single matrix that breaks those rules can still be represented.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "ints", "den")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        rs = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+        rs = [[as_fraction(v) for v in row] for row in rows]
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
         self.n = n
-        self.rows = rs
+        ints, self.den = _cleared(v for row in rs for v in row)
+        self.ints = tuple(ints)
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable[RationalLike]]) -> "NormalizedMatrix":
@@ -103,11 +111,14 @@ class NormalizedMatrix:
     def identity(cls, n: int) -> "NormalizedMatrix":
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("n must be a positive integer")
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        n, den = self.n, self.den
+        return tuple(
+            tuple(Fraction(v, den) for v in self.ints[i : i + n])
+            for i in range(0, n * n, n)
         )
 
     @property
@@ -115,21 +126,21 @@ class NormalizedMatrix:
         return tuple(zip(*self.rows))
 
     def det(self) -> Fraction:
-        """Exact determinant, by fraction-free elimination on the entries
-        cleared to ints over their common denominator D: det = det(ints) / D^n."""
-        entries, den = _cleared(v for row in self.rows for v in row)
-        return Fraction(_int_det(entries, self.n), den**self.n)
+        """Exact determinant, by fraction-free elimination on the ints:
+        det = det(ints) / den^n."""
+        return Fraction(_int_det(self.ints, self.n), self.den**self.n)
 
     def apply(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """Matrix times column vector; maps T_n points into this cell."""
-        pt = tuple(as_fraction(v) for v in point)
-        if len(pt) != self.n:
+        coords, scale = _cleared(as_fraction(v) for v in point)
+        n = self.n
+        if len(coords) != n:
             raise DimensionMismatchError(
-                f"point has {len(pt)} coordinates, matrix is {self.n} x {self.n}"
+                f"point has {len(coords)} coordinates, matrix is {n} x {n}"
             )
         return tuple(
-            sum((row[j] * pt[j] for j in range(self.n)), Fraction(0))
-            for row in self.rows
+            Fraction(sum(map(mul, self.ints[i : i + n], coords)), scale * self.den)
+            for i in range(0, n * n, n)
         )
 
     def __matmul__(self, other: "NormalizedMatrix") -> "NormalizedMatrix":
@@ -142,25 +153,22 @@ class NormalizedMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalizedMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.den, self.ints))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
+        body = "; ".join(" ".join(map(_write_rational, row)) for row in self.rows)
         return f"NormalizedMatrix({body})"
 
 
 def diameter_sq(matrix: NormalizedMatrix) -> Fraction:
     """Largest squared Euclidean distance between two cell vertices."""
-    return max(
-        (
-            sum(((a - b) ** 2 for a, b in zip(p, q)), Fraction(0))
-            for p, q in itertools.combinations(matrix.columns, 2)
-        ),
-        default=Fraction(0),
-    )
+    n = matrix.n
+    pairs = itertools.combinations([matrix.ints[j::n] for j in range(n)], 2)
+    widest = max((sum((a - b) ** 2 for a, b in zip(p, q)) for p, q in pairs), default=0)
+    return Fraction(widest, matrix.den**2)
 
 
 def compose(matrices: Iterable[NormalizedMatrix]) -> NormalizedMatrix:
@@ -348,9 +356,7 @@ def make_star3_scheme(
     a = _edge_point(edge12, 2, "edge12")
     b = _edge_point(edge23, 0, "edge23")
     c = _edge_point(edge13, 1, "edge13")
-    e1 = (Fraction(1), Fraction(0), Fraction(0))
-    e2 = (Fraction(0), Fraction(1), Fraction(0))
-    e3 = (Fraction(0), Fraction(0), Fraction(1))
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     cells = (
         (e1, a, o),
         (e2, a, o),
@@ -404,14 +410,12 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     problems = []
     n = scheme.n
     for idx, m in enumerate(scheme.matrices, start=1):
-        # entries row by row over the cell's common denominator, so column j
-        # is every n-th int from j and sums to 1 exactly when it sums to den
-        entries, den = _cleared(v for row in m.rows for v in row)
-        if any(sum(entries[j::n]) != den for j in range(n)):
+        # column j sums to 1 exactly when its ints sum to den
+        if any(sum(m.ints[j::n]) != m.den for j in range(n)):
             problems.append(f"matrix {idx}: some column does not sum to 1")
-        if any(v.numerator < 0 for row in m.rows for v in row):
+        if min(m.ints) < 0:
             problems.append(f"matrix {idx}: negative entry")
-        d = Fraction(_int_det(entries, n), den**n)
+        d = m.det()
         if not d:
             problems.append(f"matrix {idx}: singular (zero volume cell)")
         dets.append(d)
@@ -440,27 +444,24 @@ def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fractio
     sign(det) times the parity of the column order that lists the sorted
     facet first.  Only the first failing facet is reported.
     """
-    # vertices are numbered by their (numerator, denominator) pairs, which
-    # hash far faster than Fractions; a facet is its sorted vertex numbers
+    # a vertex is numbered by its column of ints in lowest terms, which sums
+    # to its denominator; a facet is its sorted vertex numbers
     ids: dict[tuple, int] = {}
-    vertices = []
     facets: dict[tuple, list] = {}  # facet -> [(cell, side)]
     for idx, (m, d) in enumerate(zip(matrices, dets), start=1):
-        cols = m.columns
-        n = len(cols)
-        keys = [tuple((x.numerator, x.denominator) for x in col) for col in cols]
-        vs = []
-        for col, key in zip(cols, keys):
-            v = ids.setdefault(key, len(ids))
-            if v == len(vertices):
-                vertices.append(col)
-            vs.append(v)
+        n = m.n
+        keys = []
+        for j in range(n):
+            col = m.ints[j::n]
+            g = gcd(m.den, *col)
+            keys.append(tuple(v // g for v in col))
+        vs = [ids.setdefault(key, len(ids)) for key in keys]
         order = sorted(range(n), key=vs.__getitem__)
         inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
         sign = (1 if d > 0 else -1) * (-1) ** inversions
         # the facet without column j lies on the boundary when j is the one
         # column nonzero in some row
-        supports = ([j for j in range(n) if keys[j][i][0]] for i in range(n))
+        supports = ([j for j in range(n) if keys[j][i]] for i in range(n))
         boundary = {nz[0] for nz in supports if len(nz) == 1}
         for k, j in enumerate(order):
             if j not in boundary:
@@ -469,21 +470,21 @@ def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fractio
     for facet, cells in facets.items():
         if len(cells) == 2 and cells[0][1] != cells[1][1]:
             continue
-        where = ", ".join(
-            "(" + ", ".join(map(_write_rational, vertices[v])) + ")" for v in facet
-        )
+        by_id = list(ids)  # vertex v's key is the v-th
+        corners = [tuple(Fraction(x, sum(by_id[v])) for x in by_id[v]) for v in facet]
+        where = ", ".join(f"({', '.join(map(_write_rational, c))})" for c in corners)
         for side in (1, -1):
             same = [c for c, s in cells if s == side]
             if len(same) > 1:
                 return f"cells {same[0]} and {same[1]} overlap at the facet {where}"
         i = cells[0][0]  # the facet's one cell
-        center = tuple(sum(c) / len(facet) for c in zip(*(vertices[v] for v in facet)))
+        center = tuple(sum(c) / len(facet) for c in zip(*corners))
         # in a tiling the centre can lie only on the boundary of another cell
         touching = None
-        for j, (m, d) in enumerate(zip(matrices, dets), start=1):
+        for j, m in enumerate(matrices, start=1):
             if j == i:
                 continue
-            low = min(_barycentric(m, d, center))
+            low = min(_barycentric(m, center))
             if low > 0:
                 point = ", ".join(map(_write_rational, center))
                 return f"cells {i} and {j} overlap at ({point})"
@@ -501,14 +502,18 @@ def _tiling_problem(matrices: Sequence[NormalizedMatrix], dets: Sequence[Fractio
     return None
 
 
-def _barycentric(m: NormalizedMatrix, d: Fraction, point: tuple) -> list[Fraction]:
-    # Cramer's rule: coordinate k of point in the cell is
-    # det(m with column k replaced by point) / d, where d = det(m)
-    cols = list(m.columns)
-    return [
-        NormalizedMatrix.from_columns(cols[:k] + [point] + cols[k + 1 :]).det() / d
-        for k in range(len(cols))
-    ]
+def _barycentric(m: NormalizedMatrix, point: tuple) -> list[Fraction]:
+    # Cramer's rule on the ints: with point = coords / scale, coordinate k
+    # is det(ints with column k replaced by coords) * den / (det(ints) * scale)
+    n = m.n
+    coords, scale = _cleared(point)
+    whole = _int_det(m.ints, n) * scale
+    out = []
+    for k in range(n):
+        entries = list(m.ints)
+        entries[k::n] = coords
+        out.append(Fraction(_int_det(entries, n) * m.den, whole))
+    return out
 
 
 @dataclass(frozen=True)
@@ -539,18 +544,13 @@ class ConvergenceReport:
     shared_edges: tuple[tuple[int, tuple[int, int]], ...]
 
 
-def _is_basis_vector(col: tuple[Fraction, ...]) -> bool:
-    return sum(col) == 1 and all(v in (0, 1) for v in col)
-
-
 def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
     shared = []
     for idx, m in enumerate(scheme.matrices, start=1):
-        cols = m.columns
-        units = [j for j, col in enumerate(cols) if _is_basis_vector(col)]
-        for a, b in itertools.combinations(units, 2):
-            if cols[a] != cols[b]:
-                shared.append((idx, (a + 1, b + 1)))
+        # columns are nonnegative and sum to den, so a basis vector holds den;
+        # a scheme's cells are nonsingular, so their columns are distinct
+        units = [j + 1 for j in range(m.n) if m.den in m.ints[j :: m.n]]
+        shared.extend((idx, pair) for pair in itertools.combinations(units, 2))
     if shared:
         return ConvergenceReport(False, None, tuple(shared))
     ratio = max(diameter_sq(m) for m in scheme.matrices) / 2
@@ -590,7 +590,7 @@ def format_scheme(scheme: SubdivisionScheme) -> str:
     for m in scheme.matrices:
         lines.append("matrix:")
         for row in m.rows:
-            lines.append(" ".join(str(v) for v in row))
+            lines.append(" ".join(map(_write_rational, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ import pytest
 import formsign
 from formsign import cli, subdivision
 from formsign.cli import main
+from formsign.forms import _write_rational
 from conftest import MIXED_SIGN_TEXT, SYM_DIFF_TEXT
 
 F = Fraction
@@ -374,8 +375,10 @@ class TestAnalyzeSchemeCommand:
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_invalid_scheme_with_long_determinants_reported(self, capsys, tmp_path, output):
-        # each cell's |det| has 2 501 digits and their sum more than 4 300
-        p, q = 10**2500 + 1, 10**2500 + 3
+        # each cell's |det| has 2 501 digits and their sum more than 4 300;
+        # _write_rational writes them whatever the int-to-str limit
+        big_p, big_q = 10**2500 + 1, 10**2500 + 3
+        p, q = _write_rational(big_p), _write_rational(big_q)
         path = tmp_path / "long.scheme"
         cells = "".join(f"matrix:\n1 1/{d}\n0 1/{d}\n" for d in (q, p))
         path.write_text(f"name: long\nn: 2\n{cells}")
@@ -384,8 +387,7 @@ class TestAnalyzeSchemeCommand:
         )
         assert code == 3
         assert err == ""
-        with cli._full_digits():
-            det_sum = str(F(1, p) + F(1, q))
+        det_sum = _write_rational(F(1, big_p) + F(1, big_q))
         assert len(det_sum) > 4300
         if output == "json":
             report = json.loads(out)

@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,13 @@ from formsign import (
     InhomogeneousError,
     Outcome,
     VariableContext,
+    check_convergence,
     decide,
+    engine,
     format_form,
+    make_wds_scheme,
     parse_form,
+    witness_point,
 )
 from formsign.forms import _write_rational
 from formsign.parsing import _growth, _power, _power_step_pairs, _size
@@ -514,7 +519,8 @@ _FRACTION_ARITHMETIC = (
 ).split()
 
 
-def test_parse_and_psd_decide_do_no_fraction_arithmetic(monkeypatch, wds3):
+def _count_fraction_arithmetic(monkeypatch) -> Counter:
+    """Count every Fraction arithmetic call from here to monkeypatch.undo()."""
     calls: Counter = Counter()
     for name in _FRACTION_ARITHMETIC:
 
@@ -523,9 +529,37 @@ def test_parse_and_psd_decide_do_no_fraction_arithmetic(monkeypatch, wds3):
             return _method(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_parse_and_psd_decide_do_no_fraction_arithmetic(monkeypatch, wds3):
+    calls = _count_fraction_arithmetic(monkeypatch)
     text = "(1/3*x - 2/5*y)^2 + 1/7*(x*z + y*z) - 1/11*z^2 + 3/4*z^2 + 1/6*x*y"
     form = parse_form(text, VARS3)
     verdict = decide(form, wds3)
     monkeypatch.undo()
     assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 1)
     assert not calls
+
+
+def test_cells_are_read_without_fraction_arithmetic(monkeypatch):
+    # a scheme built here, so that no table of it is cached yet
+    wds4 = make_wds_scheme(4)
+    path = (1, 7, 24, 13, 2, 18)
+    calls = _count_fraction_arithmetic(monkeypatch)
+    point = witness_point(path, wds4)
+    mapped = dict(calls)
+    engine._Table(wds4, 3)
+    built = dict(calls)
+    report = check_convergence(wds4)
+    monkeypatch.undo()
+    assert not mapped
+    assert built == mapped
+    assert sum(calls.values()) <= len(wds4)
+    # the same point by Fraction arithmetic on the cells' rows
+    expected = (Fraction(1, 4),) * 4
+    for i in reversed(path):
+        rows = wds4.matrices[i - 1].rows
+        expected = tuple(sum(map(mul, row, expected)) for row in rows)
+    assert point == expected
+    assert report.contraction_ratio_sq == Fraction(3, 8)

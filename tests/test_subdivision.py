@@ -1,6 +1,7 @@
 """Unit tests for matrices, schemes, validation and convergence analysis."""
 
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -28,6 +29,7 @@ from formsign import (
     save_scheme,
     validate_scheme,
 )
+from formsign.forms import _write_rational
 
 F = Fraction
 
@@ -531,6 +533,32 @@ class TestSchemeFiles:
         # an n: field of MAX_DIGITS digits passes its own check
         with pytest.raises(SchemeError, match="no matrices"):
             parse_scheme(f"name: q\nn: {'9' * MAX_DIGITS}\n")
+
+    def test_long_entries_round_trip_at_the_lowest_digit_limit(self):
+        # a 700-digit entry, past 640 digits, Python's lowest int-to-str
+        # limit: format_scheme and repr must still write it
+        big = 10**699 + 7
+        a, b = F(big - 1, big), F(1, big)
+        scheme = SubdivisionScheme(
+            "long",
+            2,
+            (
+                NormalizedMatrix.from_columns(((1, 0), (a, b))),
+                NormalizedMatrix.from_columns(((a, b), (0, 1))),
+            ),
+        )
+        old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if old is not None:
+            sys.set_int_max_str_digits(640)
+        try:
+            text = format_scheme(scheme)
+            shown = repr(scheme.matrices[0])
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
+        assert f"\n1 {_write_rational(a)}\n0 {_write_rational(b)}\n" in text
+        assert shown == f"NormalizedMatrix(1 {_write_rational(a)}; 0 {_write_rational(b)})"
+        assert parse_scheme(text).matrices == scheme.matrices
 
     @pytest.mark.parametrize(
         "entry", ["{}", "-{}", "1/{}", "{}/1", "+{}/{}", "n: {}"]
