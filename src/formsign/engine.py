@@ -43,13 +43,19 @@ children are decoded slot by slot.
 
 Most children are pruned, so each level runs in two passes.  A parent with
 coefficients of more than _COARSE_BITS bits is first floored to that many
-(each v_j shifted right by the same s), and its floored children are computed
-in the narrow slots that the floored coefficients need.  Table entries are
-nonnegative and v_j >= 2^s (v_j >> s), so a floored child with no negative
-coefficient proves the child nonnegative: it is counted as pruned and its
-full-width product is never formed.  Every other child, and every child of
-a narrower parent, is computed exactly as above, so the children, their
-order and the counts are those of the exact pass alone.
+(each v_j shifted right by the same s).  Table entries are nonnegative and
+v_j >= 2^s (v_j >> s), so a floored child with no negative coefficient
+proves the child nonnegative: it is counted as pruned and its full-width
+product is never formed.  On a table of at most _BATCH_ENTRIES strip
+entries the floored children of all cells are computed at once: the
+packs of one input column under every cell, cell 1 on top, are joined into
+one strip at a width that holds any floored child, so the pass is one
+multiply-add per floored term, and only the cells whose segment shows a
+negative slot go on.  A larger table computes the floored children cell by
+cell in the narrow slots the floored parent needs.  Every child the floored
+pass cannot certify, and every child of a narrower parent, is computed
+exactly as above, so the children, their order and the counts are those of
+the exact pass alone.
 """
 
 from __future__ import annotations
@@ -71,12 +77,19 @@ IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
 # the monomial count, C(d + n - 1, n - 1); wds3 reaches it past degree 43
 MAX_TABLE_ENTRIES = 10**6
 
+# tables of at most this many strip entries (cells times the square of the
+# monomial count, under 1 MB of strips at 56-bit slots) floor all of a
+# parent's cells at once.  Past it strips take megabytes (3-11 MB for the
+# degree-24 tables of wds3, midpoint3 and trisection3, 43 MB for wds5 at
+# degree 6) and their build is paid again in every cold process, and a
+# parent whose first cells settle it early (wds4 at degree 10) pays for
+# floored children of every cell it never reaches
+_BATCH_ENTRIES = 2**17
+
 # _expand floors a parent of more bits than this to this many before its
-# exact pass.  The floored multipliers fit one 30-bit digit of a Python int.
-# With table entries of at most 28 bits the floored children fit 32- or
-# 64-bit slots, and on the degree-24 tables of wds3, midpoint3 and
-# trisection3 they take a width that _Table.__init__ or the exact pass
-# builds anyway, so a cold run seldom walks a new width
+# exact pass.  The floored multipliers fit one 30-bit digit of a Python int,
+# and a floored child fits floored_width bits: 16 for the multiplier, the
+# monomial count's bits for the sum and maxc's for the entries, plus a sign
 _COARSE_BITS = 16
 
 
@@ -143,9 +156,18 @@ class _Table:
     and maxc is the largest: no entry exceeds R^degree, R the largest row
     sum of a representative, so packs at a width that holds R^degree find
     it exactly, and they are kept like any other width's.
+
+    A table of at most _BATCH_ENTRIES strip entries also holds strips[j]:
+    column pin[j] of every cell's representative packed at floored_width,
+    the cells' slots concatenated in scheme order with cell 1 on top, so
+    one multiply-add per parent term computes a floored child in every
+    cell at once (floored).  Larger tables hold strips = None.
     """
 
-    __slots__ = ("exponents", "index", "cells", "maxc", "_reps", "_packs", "_tops")
+    __slots__ = (
+        "exponents", "index", "cells", "maxc", "floored_width", "strips",
+        "_reps", "_packs", "_tops", "_strips_top",
+    )
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
         n = scheme.n
@@ -196,6 +218,63 @@ class _Table:
             if pack & high
         )
         self.maxc = int.from_bytes(largest, "big")
+        # |low_j| <= 2^_COARSE_BITS for at most size terms, against entries
+        # of at most maxc: every floored child is below 2^(floored_width - 1)
+        bound = self.maxc.bit_length() + size.bit_length() + _COARSE_BITS + 1
+        self.floored_width = wf = -(-bound // 8) * 8
+        self.strips = None
+        if len(self.cells) * size**2 <= _BATCH_ENTRIES:
+            kf = wf // 8
+            columns = {
+                rep: [pack.to_bytes(size * kf, "big") for pack in _walk(rows, exps, wf)]
+                for rep, rows in self._reps.items()
+            }
+            self.strips = []
+            for j in range(size):
+                strip = b"".join(columns[rep][pin[j]] for rep, pin, _ in self.cells)
+                self.strips.append(int.from_bytes(strip, "big"))
+            slot = (1 << (wf - 1)).to_bytes(kf, "big")
+            self._strips_top = int.from_bytes(slot * (size * len(self.cells)), "big")
+
+    def floored(self, low: list) -> Iterable[int]:
+        """The cells, 0-based and in order, whose floored child has a
+        negative coefficient, `low` being a floored parent's (column, int)
+        pairs, each int at most 2^_COARSE_BITS in absolute value.
+
+        With strips, y is the bias 2^(floored_width - 1) in every slot of
+        every cell plus one multiply-add per floored term; every biased
+        slot lies in [1, 2^floored_width) without borrowing from the next,
+        so z = (y & bias) ^ bias has a bit set exactly in each negative
+        slot, and each cell whose segment of z is nonzero is returned.
+        Without strips, each cell's floored child is computed in turn at
+        the width its parent needs, and the cells are yielded lazily.
+        """
+        if self.strips is None:
+            return self._floored_each(low)
+        strips, top = self.strips, self._strips_top
+        y = top
+        for j, c in low:
+            y += c * strips[j]
+        z = (y & top) ^ top
+        cell_bits = len(self.exponents) * self.floored_width
+        last = len(self.cells) - 1
+        flagged = []
+        while z:
+            m = last - (z.bit_length() - 1) // cell_bits
+            flagged.append(m)
+            z &= (1 << (last - m) * cell_bits) - 1  # drop cell m's segment
+        return flagged
+
+    def _floored_each(self, low: list) -> Iterable[int]:
+        low_w = _slot_width(self.maxc * sum(abs(c) for _, c in low))
+        top = self.top(low_w)
+        for m, (rep, pin, _) in enumerate(self.cells):
+            packs = self.packs(rep, low_w)
+            y = top
+            for j, c in low:
+                y += c * packs[pin[j]]
+            if y & top != top:
+                yield m
 
     def packs(self, rep: int, w: int) -> list[int]:
         """Representative rep's columns packed into w-bit slots, built on
@@ -393,36 +472,31 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
     """expand_level on (items, path) branches, where items lists a form's
     content-normalized coefficients as (table column, int) pairs."""
     size = len(table.exponents)
+    cells = table.cells
     children = []
     pruned = 0
     for items, path in frontier:
-        # child coefficient r is the sum over the parent's terms of v_j times
-        # one table entry, so |out[r]| <= maxc * sum |v_j| < 2^(w-1): biased
-        # by 2^(w-1), every slot holds out[r] + 2^(w-1) in [1, 2^w), carries
-        # nothing into the next slot, and has its top bit set exactly when
-        # out[r] >= 0.
         # First the floored pass: a parent of more than _COARSE_BITS bits is
         # floored to low_j = v_j >> s, zeros dropped.  v_j >= 2^s * low_j and
         # every entry is >= 0, so 2^s times a floored child is at most the
-        # child slot by slot, and the same bound on sum |low_j| fits the
-        # floored child in low_w-bit slots.  A floored child with no
-        # negative slot proves the child nonnegative; only the others pay
-        # the full-width product, whose width is found on the first of them.
+        # child slot by slot, and a floored child with no negative
+        # coefficient proves the child nonnegative.  Only the cells it
+        # cannot settle pay the full-width product below.
         s = max(abs(v) for _, v in items).bit_length() - _COARSE_BITS
         low = [(j, c) for j, v in items if (c := v >> s)] if s > 0 else []
-        if low:
-            low_w = _slot_width(table.maxc * sum(abs(c) for _, c in low))
-            low_top = table.top(low_w)
+        exact = table.floored(low) if low else range(len(cells))
         w = 0
-        for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
-            if low:
-                packs = table.packs(rep, low_w)
-                y = low_top
-                for j, c in low:
-                    y += c * packs[pin[j]]
-                if y & low_top == low_top:
-                    pruned += 1
-                    continue
+        done = 0  # cells before this one are settled
+        for m in exact:
+            pruned += m - done  # the floored pass pruned the cells between
+            done = m + 1
+            rep, pin, pout = cells[m]
+            # child coefficient r is the sum over the parent's terms of v_j
+            # times one table entry, so |out[r]| <= maxc * sum |v_j| <
+            # 2^(w-1): biased by 2^(w-1), every slot holds out[r] + 2^(w-1)
+            # in [1, 2^w), carries nothing into the next slot, and has its
+            # top bit set exactly when out[r] >= 0.  The width is found on
+            # the first cell that needs it.
             if not w:
                 w = _slot_width(table.maxc * sum(abs(v) for _, v in items))
                 k = w // 8
@@ -438,10 +512,11 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
             raw = x.to_bytes(size * k, "big")
             out = [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in pout]
             g = gcd(*out)
-            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
+            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m + 1,))
             if sum(out) < 0:
                 return children, pruned, child
             children.append(child)
+        pruned += len(cells) - done
     return children, pruned, None
 
 
@@ -454,14 +529,16 @@ def expand_level(
     positive children are counted in `pruned` and dropped; on the first
     trivially negative child the scan stops and that child is returned as
     `negative` (later children are never materialized); all other children
-    are returned content normalized.  Every branch form must have the
-    scheme's dimension and one shared degree.
+    are returned content normalized.  Every branch form must be nonzero
+    and have the scheme's dimension and one shared degree.
     """
     branches = list(frontier)
     if not branches:
         return LevelResult([], 0, None)
     degree = branches[0].form.degree
     for b in branches:
+        if b.form.is_zero:
+            raise ValueError("cannot expand a zero branch form; it is identically zero")
         if b.form.n != scheme.n:
             raise DimensionMismatchError(
                 f"branch form has {b.form.n} variables, scheme has {scheme.n}"

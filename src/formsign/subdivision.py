@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -106,6 +106,15 @@ class NormalizedMatrix:
         if any(len(c) != len(cols) for c in cols):
             raise ValueError("matrix must be square and nonempty")
         return cls(zip(*cols))
+
+    @classmethod
+    def _of(cls, n: int, ints: tuple[int, ...], den: int) -> "NormalizedMatrix":
+        """The matrix of row-major `ints` over `den`, which must already be
+        the canonical pair __init__ would clear them to: den the least
+        common denominator of the entries in lowest terms."""
+        matrix = object.__new__(cls)
+        matrix.n, matrix.ints, matrix.den = n, ints, den
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedMatrix":
@@ -253,14 +262,16 @@ def make_wds_scheme(n: int) -> SubdivisionScheme:
     """
     if not isinstance(n, int) or n < 2:
         raise SchemeError("barycentric subdivision needs an integer n >= 2")
+    # column j holds 1/(j + 1), in lowest terms, in rows perm[0..j]: over
+    # den = lcm(1..n), row perm[j] is zero left of column j and tail[j:] on
+    den = lcm(*range(1, n + 1))
+    tail = [den // j for j in range(1, n + 1)]
     mats = []
     for perm in itertools.permutations(range(n)):
-        counts = [0] * n
-        cols = []
-        for j, p in enumerate(perm, start=1):
-            counts[p] += 1
-            cols.append(tuple(Fraction(c, j) for c in counts))
-        mats.append(NormalizedMatrix.from_columns(cols))
+        ints = [0] * (n * n)
+        for j, p in enumerate(perm):
+            ints[p * n + j : p * n + n] = tail[j:]
+        mats.append(NormalizedMatrix._of(n, tuple(ints), den))
     return SubdivisionScheme(f"wds{n}", n, mats)
 
 

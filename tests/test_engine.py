@@ -233,6 +233,14 @@ class TestExpandLevel:
         with pytest.raises(DimensionMismatchError):
             expand_level([Branch(Form(3, {(2, 0, 0): 1, (0, 2, 0): -2}), ())], wds2)
 
+    def test_zero_branch_rejected(self, wds3):
+        # refused up front, like decide's zero form, also behind a nonzero one
+        zero = Branch(Form(3, {}, degree=2), ())
+        other = Branch(Form(3, {(2, 0, 0): 1, (1, 1, 0): -2}), ())
+        for frontier in ([zero], [other, zero]):
+            with pytest.raises(ValueError, match="zero branch form"):
+                expand_level(frontier, wds3)
+
     def test_degree_zero_branch(self, wds3):
         # every cell maps a constant to itself
         minus_one = expand_level([Branch(Form(3, {(0, 0, 0): -1}), ())], wds3)
@@ -487,33 +495,58 @@ def widths(table):
 
 @pytest.fixture
 def packs_asked(monkeypatch):
-    """Every (rep, width) that _Table.packs is asked for, in order."""
+    """Every (rep, width) that _Table.packs is asked for, in order, with
+    ("strips", floored_width) for each floored pass a table runs on its
+    strips."""
     asked = []
-    packs = engine._Table.packs
+    packs, floored = engine._Table.packs, engine._Table.floored
 
     def record(table, rep, w):
         asked.append((rep, w))
         return packs(table, rep, w)
 
+    def record_floored(table, low):
+        if table.strips is not None:
+            asked.append(("strips", table.floored_width))
+        return floored(table, low)
+
     monkeypatch.setattr(engine._Table, "packs", record)
+    monkeypatch.setattr(engine._Table, "floored", record_floored)
     return asked
 
 
 def two_pass_model(frontier, table, columns):
-    """The (rep, width) pairs engine._expand asks the table's packs for, and
-    how many children of parents wider than engine._COARSE_BITS its floored
-    pass prunes and how many only its exact pass prunes, from one
-    multiply-add per (parent term, expansion entry)."""
+    """The (rep, width) pairs engine._expand asks the table's packs for, with
+    ("strips", floored_width) for each batched floored pass, and how many
+    children of parents wider than engine._COARSE_BITS its floored pass
+    prunes and how many only its exact pass prunes, from one multiply-add
+    per (parent term, expansion entry).
+
+    A table of at most engine._BATCH_ENTRIES cells x size^2 entries floors
+    every cell of a parent at once on its strips, so it asks for no packs
+    until the exact pass; a larger one floors cell by cell, in slots of the
+    width the floored parent needs."""
+    size = len(table.exponents)
+    batched = len(table.cells) * size**2 <= engine._BATCH_ENTRIES
+    assert (table.strips is not None) == batched
+    bits = table.maxc.bit_length() + size.bit_length() + engine._COARSE_BITS + 1
+    assert table.floored_width == -(-bits // 8) * 8
     asked, pruned = [], {"floored": 0, "exact": 0}
     for items, _ in frontier:
         s = max(abs(v) for _, v in items).bit_length() - engine._COARSE_BITS
         low = [(j, v >> s) for j, v in items] if s > 0 else []
         low_w = engine._slot_width(table.maxc * sum(abs(c) for _, c in low))
         w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
+        if low and batched:
+            asked.append(("strips", table.floored_width))
         for rep, pin, _ in table.cells:
             if low:
-                asked.append((rep, low_w))
-                if min(sparse_child(table, columns, rep, pin, low)) >= 0:
+                floored = sparse_child(table, columns, rep, pin, low)
+                # every floored child fits the strips' slots
+                assert max(map(abs, floored)) < 2 ** (table.floored_width - 1)
+                if not batched:
+                    asked.append((rep, low_w))
+                if min(floored) >= 0:
                     pruned["floored"] += 1
                     continue
             asked.append((rep, w))
@@ -619,11 +652,13 @@ class TestSlotEdges:
         narrow = [(0, 2**15), (1, -1)]
         assert engine._expand([(narrow, ())], table) == ([(narrow, (1,))], 0, None)
         assert packs_asked == [(0, 32)]
-        # 2^16 has 17 bits: the floored child 2x - y fails, then the exact one
+        # 2^16 has 17 bits: the floored child 2x - y fails on the strips,
+        # whose 24-bit slots hold 1 bit of entry, 2 of term count and 16 + 1
+        # of floored multiplier, then the exact one
         packs_asked.clear()
         wide = [(0, 2**16), (1, -1)]
         assert engine._expand([(wide, ())], table) == ([(wide, (1,))], 0, None)
-        assert packs_asked == [(0, 32), (0, 32)]
+        assert packs_asked == [("strips", 24), (0, 32)]
 
 
 def test_floored_minus_one_falls_through_to_an_exact_zero(wds2, packs_asked):
@@ -636,8 +671,9 @@ def test_floored_minus_one_falls_through_to_an_exact_zero(wds2, packs_asked):
     assert engine._expand([([(0, a), (1, -a)], ())], table) == (
         [], 1, ([(0, -1)], (2,))
     )
-    # each cell asks for its floored packs, then for its exact ones
-    assert packs_asked == [(0, 32), (0, 64), (0, 32), (0, 64)]
+    # one floored pass on the strips flags both cells, and each cell then
+    # asks for its exact packs
+    assert packs_asked == [("strips", 24), (0, 64), (0, 64)]
 
 
 def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
@@ -648,6 +684,119 @@ def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
     ]
     assert engine._expand(frontier, table) == ([], 30, None)
     assert widths(table) == [32]
+
+
+def test_per_cell_floored_pass_matches_sparse_loop(packs_asked):
+    # wds4 at degree 6 has 24 cells of 84 monomials, 169 344 strip entries,
+    # past engine._BATCH_ENTRIES: it floors cell by cell, at the width each
+    # floored parent needs
+    scheme = make_wds_scheme(4)
+    table = engine._Table(scheme, 6)
+    assert table.strips is None
+    columns = substituted_columns(scheme, table)
+    rng = random.Random("per-cell floored")
+    size = len(table.exponents)
+    floored = 0
+    for kinds in ((300,), ("cancel", 40), ("mixed", 1, 120)):
+        frontier = [(random_parent(rng, size, kind), (p,)) for p, kind in enumerate(kinds, 1)]
+        packs_asked.clear()
+        assert engine._expand(frontier, table) == sparse_expand(frontier, table, columns)
+        asked, pruned = two_pass_model(frontier, table, columns)
+        assert packs_asked == asked
+        floored += pruned["floored"]
+    assert floored
+
+
+@pytest.mark.parametrize("name, degree", [("wds3", 24), ("wds5", 6)])
+def test_large_tables_build_no_strips(name, degree):
+    table = engine._Table(make_wds_scheme(int(name[3:])), degree)
+    assert len(table.cells) * len(table.exponents) ** 2 > engine._BATCH_ENTRIES
+    assert table.strips is None
+
+
+class TestBatchedFlooredPass:
+    """The floored pass on all of a parent's cells at once, cell 1's slots
+    on top of the strips, against the floored children one multiply-add
+    per (parent term, expansion entry) gives."""
+
+    @staticmethod
+    def flagged(table, columns, low):
+        return [
+            m
+            for m, (rep, pin, _) in enumerate(table.cells)
+            if min(sparse_child(table, columns, rep, pin, low)) < 0
+        ]
+
+    def test_floored_minus_one_in_a_cells_last_slot(self, trisection3):
+        # F = a x + b y + c z at degree 1: cell m's child holds F at its
+        # vertices (cleared by 3), and its last slot, z's, F at its third
+        # vertex.  Cells 1 and 2 end on (2, 0, 1), where F is 2a + c = 0
+        # and the floored F, 2 * 2^14 - 2^15 - 1, is -1; cell 3, whose
+        # slots sit right below cell 2's, has (2, 1, 0), (1, 2, 0) and
+        # (1, 1, 1), where the floored F is positive
+        table = engine._Table(trisection3, 1)
+        assert table.strips is not None
+        columns = substituted_columns(trisection3, table)
+        a = 2**40 + 1
+        x, y, z = (table.index[e] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        items = [(x, a), (y, 2**41), (z, -2 * a)]
+        s = (2 * a).bit_length() - engine._COARSE_BITS
+        low = [(j, v >> s) for j, v in items]
+        assert [c for _, c in low] == [2**14, 2**15, -(2**15) - 1]
+        flagged = table.floored(low)
+        assert flagged == self.flagged(table, columns, low)
+        assert flagged[:3] == [0, 1, 5]
+        # the exact children of cells 1 and 2 are 0 in the z slot, so cells
+        # 1-5 are pruned, and cell 6 is negative
+        frontier = [(items, ())]
+        result = engine._expand(frontier, table)
+        assert result == sparse_expand(frontier, table, columns)
+        assert result[:2] == ([], 5) and result[2][1] == (6,)
+
+    @pytest.mark.parametrize("name, degree", [("wds4", 1), ("trisection3", 2)])
+    def test_every_floored_multiplier_at_its_bound(self, name, degree):
+        # bits(maxc) + bits(size) + _COARSE_BITS + 1 is a multiple of 8 on
+        # these tables, so floored_width leaves no slack; -(2^40 - 1) floors
+        # to -2^16 at a 24-bit shift, and all of them at once give the
+        # largest floored child in every slot of every cell
+        scheme = {"wds4": lambda: make_wds_scheme(4), "trisection3": make_trisection3_scheme}[name]()
+        table = engine._Table(scheme, degree)
+        size = len(table.exponents)
+        wf = table.floored_width
+        bits = table.maxc.bit_length() + size.bit_length() + engine._COARSE_BITS + 1
+        assert wf == bits
+        columns = substituted_columns(scheme, table)
+        items = [(j, 1 - 2**40) for j in range(size)]
+        low = [(j, v >> 24) for j, v in items]
+        assert {c for _, c in low} == {-(2**engine._COARSE_BITS)}
+        # the strips' sum decodes, cell by cell, to the floored children
+        y = table._strips_top
+        for j, c in low:
+            y += c * table.strips[j]
+        slots = decode(y, size * len(table.cells), wf)
+        half = 2 ** (wf - 1)
+        for m, (rep, pin, _) in enumerate(table.cells):
+            floored = sparse_child(table, columns, rep, pin, low)
+            assert slots[m * size : (m + 1) * size] == [v + half for v in floored]
+        assert table.floored(low) == list(range(len(table.cells)))
+        frontier = [(items, ())]
+        assert engine._expand(frontier, table) == sparse_expand(frontier, table, columns)
+
+    def test_negative_child_between_pruned_cells(self, trisection3):
+        # F = 2x - y + 2z is 0 at (1, 2, 0) and (0, 2, 1) and -3 at
+        # (0, 3, 0), cell 5's other vertex, and positive at every other
+        # vertex: cells 1-4 and 6-9 are pruned by the floored pass, and
+        # cell 5 is negative.  pruned counts only the four cells before it
+        table = engine._Table(trisection3, 1)
+        columns = substituted_columns(trisection3, table)
+        x, y, z = (table.index[e] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        items = [(x, 2**31), (y, -(2**30)), (z, 2**31)]
+        low = [(j, v >> 16) for j, v in items]
+        assert table.floored(low) == self.flagged(table, columns, low) == [4]
+        frontier = [(items, (7,))]
+        result = engine._expand(frontier, table)
+        assert result == sparse_expand(frontier, table, columns)
+        assert result == ([], 4, ([(y, -1)], (7, 5)))
 
 
 class TestWitnessPoint:

@@ -189,6 +189,21 @@ class TestWdsScheme:
             scheme = make_wds_scheme(n)
             assert {abs(m.det()) for m in scheme.matrices} == {F(1, factorial(n))}
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cells_equal_their_rational_running_averages(self, n):
+        # the cells are built from ints; built from Fraction columns through
+        # the public constructor they are equal and hash equal, in order
+        cells = make_wds_scheme(n).matrices
+        for perm, cell in zip(permutations(range(n)), cells, strict=True):
+            counts = [0] * n
+            columns = []
+            for j, p in enumerate(perm, start=1):
+                counts[p] += 1
+                columns.append([F(c, j) for c in counts])
+            expected = NormalizedMatrix.from_columns(columns)
+            assert cell == expected and hash(cell) == hash(expected)
+            assert (cell.n, cell.ints, cell.den) == (n, expected.ints, expected.den)
+
     def test_invalid_dimension(self):
         with pytest.raises(SchemeError):
             make_wds_scheme(1)
