@@ -759,7 +759,7 @@ class TestBatchedFlooredPass:
         # these tables, so floored_width leaves no slack; -(2^40 - 1) floors
         # to -2^16 at a 24-bit shift, and all of them at once give the
         # largest floored child in every slot of every cell
-        scheme = {"wds4": lambda: make_wds_scheme(4), "trisection3": make_trisection3_scheme}[name]()
+        scheme = KERNEL_SCHEMES[name]()
         table = engine._Table(scheme, degree)
         size = len(table.exponents)
         wf = table.floored_width
