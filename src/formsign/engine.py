@@ -68,7 +68,13 @@ from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .forms import DimensionMismatchError, Form, _compositions, _content
+from .forms import (
+    DimensionMismatchError,
+    Form,
+    _compositions,
+    _content,
+    _write_rational,
+)
 from .subdivision import SubdivisionScheme, barycenter
 
 IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
@@ -661,7 +667,8 @@ def decide(
 
 
 def run_report(verdict: Verdict) -> dict:
-    """JSON-ready summary of a verdict; rationals are rendered as 'p/q'."""
+    """JSON-ready summary of a verdict; rationals are rendered as 'p/q',
+    whatever the interpreter's int-to-str digit limit."""
     report: dict = {
         "verdict": verdict.outcome.value,
         "depth_reached": verdict.depth_reached,
@@ -674,8 +681,8 @@ def run_report(verdict: Verdict) -> dict:
     if verdict.outcome is Outcome.INDEFINITE:
         report["witness"] = {
             "path": list(verdict.witness_path),
-            "point": [str(v) for v in verdict.witness_point],
-            "value": str(verdict.witness_value),
+            "point": [_write_rational(v) for v in verdict.witness_point],
+            "value": _write_rational(verdict.witness_value),
         }
     if verdict.outcome is Outcome.INCONCLUSIVE:
         report["note"] = (

@@ -7,16 +7,18 @@ rational coefficients.  Everything is exact: coefficients and points are
 rounding can sneak into a verdict.  Inside, the per-query work runs on
 Python ints over a common denominator (_cleared): evaluation, content
 normalization (_content), the parser's values and subdivision cells, each
-building Fractions only for its result.
+building Fractions only for its result.  Polynomials in progress (the
+parser's values, Form.substitute's products) key each monomial by one int
+(_Keys), so that multiplying two monomials is one int addition.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -208,23 +210,24 @@ class Form:
                 f"substitution matrix must be {self.n} x {self.n}"
             )
         n = self.n
-        unit = (0,) * n
-        pows: list[list[dict]] = [[{unit: Fraction(1)}] for _ in range(n)]
+        keys = _Keys(n, self.degree)
+        pows: list[list[dict]] = [[{0: Fraction(1)}] for _ in range(n)]
 
         def image_power(i: int, e: int) -> dict:
             cache = pows[i]
             while len(cache) <= e:
-                cache.append(_mul_linear(cache[-1], images[i]))
+                cache.append(_mul_linear(cache[-1], images[i], keys.units))
             return cache[e]
 
-        out: dict[Exponents, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for exps, coeff in self.terms.items():
-            prod = {unit: coeff}
+            prod = {0: coeff}
             for i, e in enumerate(exps):
                 if e:
                     prod = _mul(prod, image_power(i, e))
             for k, v in prod.items():
                 out[k] = out.get(k, _ZERO) + v
+        out = dict(zip(keys.unpack(out), out.values()))
         return Form(n, out, degree=self.degree)
 
     def is_trivially_positive(self) -> bool:
@@ -311,15 +314,62 @@ def _content(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, int]:
     return dict(zip(terms, ints))
 
 
+class _Keys:
+    """Monomials in n variables packed into ints, their keys, so that the
+    key of a product of monomials is the sum of their keys.
+
+    Exponent i sits in bits [w*i, w*(i + 1)) and the degree in the bits
+    above, where the field width w is the least of 8, 16, 32, 64, ... bits
+    that holds `top`.  A key is valid while its degree is at most `top`:
+    then no field carries into the next.
+    """
+
+    __slots__ = ("n", "width", "shift", "units", "_read")
+
+    def __init__(self, n: int, top: int):
+        width = 8
+        while width < top.bit_length():
+            width *= 2
+        self.n = n
+        self.width = width
+        self.shift = width * n
+        # the keys of the n variables, each of degree 1
+        self.units = [(1 << width * j) + (1 << self.shift) for j in range(n)]
+        # reads the n exponent fields from a key's n + 1 fields of bytes
+        # (the degree fits one field too), for the widths struct has codes for
+        self._read = None
+        if width in _FIELD_CODES:
+            layout = f"<{n}{_FIELD_CODES[width]}{width // 8}x"
+            self._read = struct.Struct(layout).unpack
+
+    def degree(self, key: int) -> int:
+        return key >> self.shift
+
+    def unpack(self, keys: Iterable[int]) -> list[Exponents]:
+        """The exponent tuples of `keys`, in order."""
+        n, width, read = self.n, self.width, self._read
+        if read is not None:
+            size = (n + 1) * width // 8
+            return [read(k.to_bytes(size, "little")) for k in keys]
+        mask = (1 << width) - 1
+        shifts = range(0, self.shift, width)
+        return [tuple(k >> s & mask for s in shifts) for k in keys]
+
+
+# struct's little-endian codes for unsigned ints of 8, 16, 32 and 64 bits
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 # Sums start at int 0, so integer inputs (the parser's integer numerators)
-# stay integer and Fraction inputs give Fractions.
+# stay integer and Fraction inputs give Fractions.  Both routines take and
+# give dicts from _Keys keys to coefficients.
 
 
 def _mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for ka, va in p.items():
         for kb, vb in q.items():
-            k = tuple(map(add, ka, kb))
+            k = ka + kb
             s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s
@@ -328,16 +378,7 @@ def _mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _mul_linear(p: dict, image: tuple) -> dict:
-    # multiply by a linear form; image[j] is the coefficient of variable j
-    out: dict = {}
-    for k, v in p.items():
-        for j, c in enumerate(image):
-            if c:
-                kk = k[:j] + (k[j] + 1,) + k[j + 1 :]
-                s = out.get(kk, 0) + v * c
-                if s:
-                    out[kk] = s
-                elif kk in out:
-                    del out[kk]
-    return out
+def _mul_linear(p: dict, image: tuple, units: Sequence[int]) -> dict:
+    """p times a linear form; image[j] is the coefficient of the variable
+    whose key is units[j]."""
+    return _mul(p, {u: c for u, c in zip(units, image) if c})

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .forms import Form, InhomogeneousError, _mul, _read_int
+from .forms import Form, InhomogeneousError, _Keys, _mul, _read_int, _write_rational
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -138,6 +138,7 @@ class _Parser:
 
     def __init__(self, text: str, ctx: VariableContext):
         self.tokens = _tokenize(text)
+        self.keys = _Keys(ctx.n, _degree_bound(self.tokens))
         self.pos = 0
         # parentheses and minus signs around the factor being parsed; the
         # top-level unary call brings it to 0
@@ -253,17 +254,15 @@ class _Parser:
             raise FormSyntaxError(
                 f"exponent {value} exceeds the maximum {MAX_EXPONENT}", at
             )
-        n = self.ctx.n
         size, growth = _size(base), _growth(base)
-        for j, pairs in enumerate(_power_step_pairs(base[0], value, n)):
+        for j, pairs in enumerate(_power_step_pairs(base[0], value, self.keys)):
             # step j multiplies p^j, whose coefficients have at most
             # j * growth bits, by p's
             self.charge(pairs * _pair_weight(j * growth, size), caret_at)
-        return _power(base, value, n)
+        return _power(base, value)
 
     def atom(self) -> Value:
         kind, value, at = self.advance()
-        n = self.ctx.n
         if kind == "NUM":
             den = 1
             # a '/' directly after an integer continues a rational literal
@@ -275,14 +274,13 @@ class _Parser:
                 if den == 0:
                     raise FormSyntaxError("zero denominator", dat)
             g = gcd(value, den)  # gcd(0, den) is den
-            return ({(0,) * n: value // g} if value else {}), den // g
+            return ({0: value // g} if value else {}), den // g
         if kind == "NAME":
             try:
                 j = self.ctx.index(value)
             except ValueError:
                 raise FormSyntaxError(f"unknown variable {value!r}", at) from None
-            exps = tuple(1 if i == j else 0 for i in range(n))
-            return {exps: 1}, 1
+            return {self.keys.units[j]: 1}, 1
         if kind == "(":
             inner = self.expr()
             kind2, _, at2 = self.advance()
@@ -296,8 +294,42 @@ class _Parser:
         raise FormSyntaxError(f"unexpected {value!r}", at)
 
 
-def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
-    """Upper bounds on the term pairs each step of _power(p, e, n) multiplies.
+def _degree_bound(tokens: list[tuple[str, object, int]]) -> int:
+    """An upper bound on the degree of every term the parser builds from
+    `tokens`, so of every key it makes: each occurrence of a variable
+    counts once, times every exponent applied to it or to a parenthesized
+    group around it.
+
+    An exponent of 0 counts as 1, since its base is expanded first, and one
+    past MAX_EXPONENT as MAX_EXPONENT, since the parse stops at it.  A
+    malformed list gets a bound on what is parsed before the error.
+    """
+    outer: list[int] = []  # the counts of the enclosing groups
+    count = 0  # the count of the group being read
+    last = 0  # the count of the atom just read, which a '^' raises
+    for i, (kind, _, _) in enumerate(tokens):
+        if kind == "NAME":
+            count += 1
+            last = 1
+            continue
+        if kind == "(":
+            outer.append(count)
+            count = 0
+        elif kind == ")" and outer:
+            last = count
+            count += outer.pop()
+            continue
+        elif kind == "^":
+            ekind, e, _ = tokens[i + 1]
+            if ekind == "NUM" and e > 1:
+                count += last * (min(e, MAX_EXPONENT) - 1)
+        last = 0
+    return count + sum(outer)
+
+
+def _power_step_pairs(p: dict, e: int, keys: _Keys) -> Iterator[int]:
+    """Upper bounds on the term pairs each step of _power(p, e) multiplies,
+    for p keyed by `keys`.
 
     Step j multiplies p^j by p's k terms, and p^j has at most
     min(C(j+k-1, k-1), C(j*hi+n, n) - C(j*lo+n-1, n)) terms: the multisets
@@ -308,7 +340,8 @@ def _power_step_pairs(p: dict, e: int, n: int) -> Iterator[int]:
     k = len(p)
     if not k:
         return
-    degrees = [sum(exps) for exps in p]
+    n = keys.n
+    degrees = [keys.degree(key) for key in p]
     lo, hi = min(degrees), max(degrees)
     for j in range(e):
         monomials = comb(j * hi + n, n) - comb(j * lo + n - 1, n)
@@ -363,9 +396,13 @@ def _times(p: Value, q: Value) -> Value:
     return (terms, pd * qd) if terms else ({}, 1)
 
 
-def _power(p: Value, e: int, n: int) -> Value:
+def _power(p: Value, e: int) -> Value:
     terms, den = p
-    out = {(0,) * n: 1}
+    if len(terms) == 1:
+        # a monomial's e-th power has e times its key
+        ((k, v),) = terms.items()
+        return {k * e: v**e}, den**e
+    out = {0: 1}
     for _ in range(e):
         out = _mul(out, terms)
     # a power of zero has no term pairs to charge den^e to: drop den
@@ -385,19 +422,22 @@ def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> F
         # each Fraction reduces its coefficient by one gcd with den
         weight = _pair_weight(_bits(terms), den.bit_length())
         parser.charge(len(terms) * weight, 0)
-    # the parser builds only exponent tuples of ctx.n ints >= 0 and drops
-    # zero coefficients, so of Form's checks only homogeneity is left
-    degrees = set(map(sum, terms))
+    # the parser builds only keys of ctx.n exponents >= 0 and drops zero
+    # coefficients, so of Form's checks only homogeneity is left
+    keys = parser.keys
+    degrees = set(map(keys.degree, terms))
     if len(degrees) > 1:
         raise InhomogeneousError(degrees)
-    terms = {k: Fraction(v, den) for k, v in terms.items()}
+    fractions = [Fraction(v, den) for v in terms.values()]
+    terms = dict(zip(keys.unpack(terms), fractions))
     return Form._of(ctx.n, terms, degrees.pop() if degrees else 0)
 
 
 def format_form(form: Form, variables: Iterable[str] | str | VariableContext) -> str:
     """Canonical text for a form: terms in descending graded-lex order.
 
-    The output round-trips through parse_form.  The zero form prints as '0'.
+    The output round-trips through parse_form, and does not depend on the
+    interpreter's int-to-str digit limit.  The zero form prints as '0'.
     """
     ctx = VariableContext.of(variables)
     if ctx.n != form.n:
@@ -415,15 +455,15 @@ def format_form(form: Form, variables: Iterable[str] | str | VariableContext) ->
             if e == 1:
                 factors.append(name)
             elif e > 1:
-                factors.append(f"{name}^{e}")
+                factors.append(f"{name}^{_write_rational(e)}")
         mono = "*".join(factors)
         mag = abs(coeff)
         if not mono:
-            body = str(mag)
+            body = _write_rational(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{_write_rational(mag)}*{mono}"
         if not parts:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:

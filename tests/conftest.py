@@ -1,6 +1,8 @@
 """Shared fixtures and helpers for the formsign test suite."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -123,6 +125,20 @@ KERNEL_SCHEMES = {
     "wds5": lambda: make_wds_scheme(5),
     "bisection8": lambda: bisection_scheme(8),
 }
+
+
+@contextmanager
+def lowest_digit_limit():
+    """Run the block under Python's lowest int-to-str limit, 640 digits
+    (interpreters without the limit run it as it is)."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def all_exponents(n: int, degree: int):

@@ -33,11 +33,13 @@ from formsign import (
     witness_point,
 )
 from formsign import engine
+from formsign.forms import _write_rational, as_fraction
 from conftest import (
     KERNEL_SCHEMES,
     VARS3,
     all_exponents,
     bisection_scheme,
+    lowest_digit_limit,
     swapped_halves_scheme,
 )
 
@@ -881,6 +883,17 @@ class TestRunReport:
         report = run_report(decide(f, central3, max_depth=3))
         assert report["verdict"] == "inconclusive"
         assert "undecided" in report["note"]
+
+    def test_long_values_at_the_lowest_digit_limit(self):
+        # a 904-digit witness value, past 640 digits, Python's lowest
+        # int-to-str limit: the report must still write it
+        verdict = decide(parse_form("x - 2^3000*y", "x,y"), make_wds_scheme(2))
+        with lowest_digit_limit():
+            report = run_report(verdict)
+        assert verdict.witness_value == F(1 - 2**3000, 2)
+        assert report["witness"]["value"] == _write_rational(verdict.witness_value)
+        assert as_fraction(report["witness"]["value"]) == verdict.witness_value
+        assert report["witness"]["point"] == ["1/2", "1/2"]
 
     def test_json_serializable(self, wds3, mixed_sign_form):
         import json

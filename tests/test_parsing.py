@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 import pytest
@@ -25,9 +26,16 @@ from formsign import (
     parse_form,
     witness_point,
 )
-from formsign.forms import _write_rational
-from formsign.parsing import _growth, _power, _power_step_pairs, _size
-from conftest import MIXED_SIGN_TEXT, VARS3, random_form
+from formsign.forms import _Keys, _write_rational
+from formsign.parsing import (
+    _degree_bound,
+    _growth,
+    _power,
+    _power_step_pairs,
+    _size,
+    _tokenize,
+)
+from conftest import MIXED_SIGN_TEXT, VARS3, lowest_digit_limit, random_form
 
 F = Fraction
 
@@ -238,12 +246,17 @@ class TestParseErrors:
         ],
     )
     def test_power_bound_covers_the_work(self, base):
-        terms = base[0]
-        powers = [_power(base, j, 3) for j in range(12)]
+        # the bases are written with exponent tuples; the parser keys its
+        # values by _Keys, here wide enough for the 11th power of degree 2
+        keys = _Keys(3, 22)
+        exponents, den = base
+        terms = {sum(map(mul, e, keys.units)): v for e, v in exponents.items()}
+        base = (terms, den)
+        powers = [_power(base, j) for j in range(12)]
         done = [len(p[0]) * len(terms) for p in powers]
-        bounds = list(_power_step_pairs(terms, 12, 3))
+        bounds = list(_power_step_pairs(terms, 12, keys))
         assert all(b >= d for b, d in zip(bounds, done, strict=True))
-        if all(sum(e) == 1 for e in terms):
+        if all(sum(e) == 1 for e in exponents):
             assert bounds == done  # exact for a sum of the variables
         # coefficient sizes, which weight the pairs, stay under j * growth
         assert all(_size(p) <= j * _growth(base) for j, p in enumerate(powers) if j)
@@ -338,6 +351,15 @@ class TestFormat:
     def test_round_trip_matches_source_text(self, mixed_sign_form):
         # the source text is already in descending graded-lex order
         assert format_form(mixed_sign_form, VARS3) == MIXED_SIGN_TEXT
+
+    def test_long_numbers_round_trip_at_the_lowest_digit_limit(self):
+        # 904- and 955-digit coefficients, past 640 digits, Python's lowest
+        # int-to-str limit: format_form must still write them
+        form = parse_form("2^3000*x + 1/3^2000*y", "x,y")
+        with lowest_digit_limit():
+            text = format_form(form, "x,y")
+            assert parse_form(text, "x,y") == form
+        assert text == f"{_write_rational(2**3000)}*x + 1/{_write_rational(3**2000)}*y"
 
     def test_round_trip_random_forms(self):
         rng = random.Random(1387)
@@ -440,9 +462,12 @@ def fold(tree, n: int) -> dict:
     return times(a, b) if kind == "*" else plus(a, b, -1 if kind == "-" else 1)
 
 
+NAMES5 = ("x", "y", "z", "u", "v")
+
+
 @st.composite
 def expressions(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
     degree = draw(st.integers(0, 3))
     return n, draw(trees(n, degree))
 
@@ -451,9 +476,64 @@ def expressions(draw):
 @given(expressions())
 def test_parse_matches_the_fraction_fold(case):
     n, tree = case
-    names = VARS3[:n]
+    names = NAMES5[:n]
     text, _ = render(tree, names)
     assert parse_form(text, names) == Form(n, fold(tree, n))
+
+
+# x * y^E * z with E built by nested powers past the largest value of a 16-,
+# 32- and 64-bit key field, and past 2^100 by a 100-fold nested ^2: a field
+# too narrow for E would carry into z's field or the degree above it
+@pytest.mark.parametrize(
+    "exponents",
+    [(256, 257), (65536, 65536), (65536,) * 3, (256,) * 8, (2,) * 100],
+    ids=["2^16", "2^32", "2^48", "2^64", "2^100"],
+)
+def test_nested_powers_past_each_key_width_match_the_fold(exponents):
+    power = ("var", 1)
+    for e in exponents:
+        power = ("^", power, e)
+    tree = ("*", ("*", ("var", 0), power), ("var", 2))
+    text, _ = render(tree, VARS3)
+    assert parse_form(text, VARS3) == Form(3, fold(tree, 3))
+
+
+def test_many_summands_keep_narrow_key_fields():
+    # 600 summands c*x^2*y^3*z^4 and (x+y+z)^9: the bound counts each
+    # variable once per occurrence, 600 * 9 + 3 * 9, so the fields are 16
+    # bits wide, where the product of all exponents would give 2 750 bits
+    text = " + ".join(f"{c}*x^2*y^3*z^4" for c in range(1, 601)) + " + (x+y+z)^9"
+    assert _degree_bound(_tokenize(text)) == 600 * 9 + 3 * 9
+    power = ("^", ("+", ("+", ("var", 0), ("var", 1)), ("var", 2)), 9)
+    expected = fold(power, 3)
+    expected[(2, 3, 4)] += sum(range(1, 601))
+    assert parse_form(text, VARS3) == Form(3, expected)
+
+
+def test_degree_bound_counts_a_zeroth_power_as_a_first():
+    # (x+y)^300 is expanded before ^0 makes it 1, in keys that must hold it:
+    # its two occurrences count 300 each
+    assert _degree_bound(_tokenize("((x+y)^300)^0*z")) == 2 * 300 + 1
+
+
+def test_key_widths_hold_their_bound():
+    widths = [_Keys(3, top).width for top in (0, 255, 256, 2**16, 2**32, 2**64 - 1, 2**64)]
+    assert widths == [8, 8, 16, 32, 64, 64, 128]
+    for top in (255, 2**16, 2**32, 2**64):
+        keys = _Keys(3, top)
+        exps = [(top, 0, 0), (0, top, 0), (0, 0, top), (top // 3, top // 3, top - 2 * (top // 3))]
+        packed = [sum(map(mul, e, keys.units)) for e in exps]
+        assert [keys.degree(k) for k in packed] == [top] * 4
+        assert keys.unpack(packed) == exps
+
+
+def test_substitute_with_exponents_past_a_byte():
+    # x^256*y^44 + y^300 under x -> x + y: 16-bit fields
+    form = Form(2, {(256, 44): 1, (0, 300): 1})
+    image = form.substitute([[1, 1], [0, 1]])
+    expected = {(k, 300 - k): F(comb(256, k)) for k in range(257)}
+    expected[(0, 300)] += 1
+    assert image == Form(2, expected)
 
 
 def test_rendered_precedence_reads_as_the_grammar_says():

@@ -1,7 +1,6 @@
 """Unit tests for matrices, schemes, validation and convergence analysis."""
 
 import re
-import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -30,6 +29,7 @@ from formsign import (
     validate_scheme,
 )
 from formsign.forms import _write_rational
+from conftest import lowest_digit_limit
 
 F = Fraction
 
@@ -562,15 +562,9 @@ class TestSchemeFiles:
                 NormalizedMatrix.from_columns(((a, b), (0, 1))),
             ),
         )
-        old = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if old is not None:
-            sys.set_int_max_str_digits(640)
-        try:
+        with lowest_digit_limit():
             text = format_scheme(scheme)
             shown = repr(scheme.matrices[0])
-        finally:
-            if old is not None:
-                sys.set_int_max_str_digits(old)
         assert f"\n1 {_write_rational(a)}\n0 {_write_rational(b)}\n" in text
         assert shown == f"NormalizedMatrix(1 {_write_rational(a)}; 0 {_write_rational(b)})"
         assert parse_scheme(text).matrices == scheme.matrices
