@@ -20,6 +20,11 @@ a new common denominator counts as well, so a hostile input is a syntax
 error rather than a blown Python stack or a parse that runs for minutes.
 The same grammar is used for the --form command line argument; scheme
 files use their own simpler row format.
+
+The parser expands as it reads, on int coefficients over one common
+denominator, with each monomial packed into one int key (forms._Keys) whose
+field width comes from a bound on every term's degree read off the tokens
+first; parse_form turns the keys back into exponent tuples once per term.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
 # term pairs one parse may multiply, counted before each product or power;
 # (x+y+z)^100 takes 515 100 of them
 MAX_TERM_PAIRS = 10**6
-# products of two 64-bit words that cost about as much as one term pair's
-# loop overhead in forms._mul
+# a fixed unit of the work limit for coefficient size: this many products of two
+# 64-bit words count as one more term pair (see _pair_weight)
 _WORD_PRODUCTS_PER_PAIR = 256
 
-# A parse value is (terms, den): a map from exponent vectors to nonzero ints,
-# and one positive int den they are all over.
+# A parse value is (terms, den): a map from the parse's _Keys keys, one int
+# per monomial, to nonzero ints, and one positive int den they are all over.
 Value = tuple[dict, int]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -129,7 +134,8 @@ class _Parser:
     """Recursive descent over the token list, producing values directly.
 
     A value is a term map of int coefficients over one positive common
-    denominator: a product multiplies the denominators, a power raises it,
+    denominator, keyed by `keys`, whose fields hold every degree the tokens
+    can reach: a product multiplies the denominators, a power raises it,
     and a sum brings its summands to the lcm of theirs.  A literal p/q is
     in lowest terms, a one-term factor cancels against the other factor's
     denominator (_times), and an empty value is over 1.  parse_form divides

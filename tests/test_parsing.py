@@ -246,17 +246,16 @@ class TestParseErrors:
         ],
     )
     def test_power_bound_covers_the_work(self, base):
+        terms = base[0]
         # the bases are written with exponent tuples; the parser keys its
         # values by _Keys, here wide enough for the 11th power of degree 2
         keys = _Keys(3, 22)
-        exponents, den = base
-        terms = {sum(map(mul, e, keys.units)): v for e, v in exponents.items()}
-        base = (terms, den)
+        base = ({sum(map(mul, e, keys.units)): v for e, v in terms.items()}, base[1])
         powers = [_power(base, j) for j in range(12)]
         done = [len(p[0]) * len(terms) for p in powers]
-        bounds = list(_power_step_pairs(terms, 12, keys))
+        bounds = list(_power_step_pairs(base[0], 12, keys))
         assert all(b >= d for b, d in zip(bounds, done, strict=True))
-        if all(sum(e) == 1 for e in exponents):
+        if all(sum(e) == 1 for e in terms):
             assert bounds == done  # exact for a sum of the variables
         # coefficient sizes, which weight the pairs, stay under j * growth
         assert all(_size(p) <= j * _growth(base) for j, p in enumerate(powers) if j)
@@ -517,11 +516,12 @@ def test_degree_bound_counts_a_zeroth_power_as_a_first():
 
 
 def test_key_widths_hold_their_bound():
-    widths = [_Keys(3, top).width for top in (0, 255, 256, 2**16, 2**32, 2**64 - 1, 2**64)]
-    assert widths == [8, 8, 16, 32, 64, 64, 128]
+    tops = (0, 255, 256, 2**16, 2**32, 2**64 - 1, 2**64)
+    assert [_Keys(3, top).width for top in tops] == [8, 8, 16, 32, 64, 64, 128]
     for top in (255, 2**16, 2**32, 2**64):
         keys = _Keys(3, top)
-        exps = [(top, 0, 0), (0, top, 0), (0, 0, top), (top // 3, top // 3, top - 2 * (top // 3))]
+        third = top // 3
+        exps = [(top, 0, 0), (0, top, 0), (0, 0, top), (third, third, top - 2 * third)]
         packed = [sum(map(mul, e, keys.units)) for e in exps]
         assert [keys.degree(k) for k in packed] == [top] * 4
         assert keys.unpack(packed) == exps
