@@ -18,6 +18,7 @@ from formsign import (
     RunStats,
     SchemeError,
     SubdivisionScheme,
+    as_fraction,
     barycenter,
     compose,
     decide,
@@ -33,7 +34,7 @@ from formsign import (
     witness_point,
 )
 from formsign import engine
-from formsign.forms import _write_rational, as_fraction
+from formsign.forms import _write_rational
 from conftest import (
     KERNEL_SCHEMES,
     VARS3,
