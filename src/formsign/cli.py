@@ -117,7 +117,6 @@ def _cmd_decide(args) -> int:
         form,
         scheme,
         max_depth=args.max_depth,
-        dedup=args.dedup,
         on_level=on_level,
     )
 
@@ -127,7 +126,6 @@ def _cmd_decide(args) -> int:
             "variables": list(ctx.names),
             "scheme": scheme.name,
             "max_depth": args.max_depth,
-            "dedup": args.dedup,
         }
         report.update(run_report(verdict))
         print(json.dumps(report, indent=2))
@@ -280,7 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser(
-        "decide", help="prove nonnegativity or find a counterexample"
+        "decide",
+        help="prove nonnegativity or find a counterexample",
+        description=(
+            "Subdivide the simplex level by level until every branch is "
+            "nonnegative or one is negative. A branch form repeated within a "
+            "level is expanded once, under its first path."
+        ),
     )
     add_common_form_args(p)
     p.add_argument(
@@ -290,12 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-depth", type=int, default=30)
     p.add_argument(
-        "--dedup",
+        "--trace",
         action="store_true",
-        help="drop repeated identical branch forms within a level",
-    )
-    p.add_argument(
-        "--trace", action="store_true", help="print per-level counts to stderr"
+        help="print per-level counts of distinct branches to stderr",
     )
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_decide)

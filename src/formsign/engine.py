@@ -11,11 +11,15 @@ scheme's matrices:
   - a child whose coefficient sum is negative is negative at its cell's
     barycenter, which is an explicit interior counterexample: the run stops
     and reports the mapped barycenter as witness;
-  - anything else survives to the next level.
+  - anything else survives to the next level, once: a child equal to one
+    already kept on this level (the same content-normalized coefficients)
+    is dropped, since identical forms have identical subtrees.
 
-An empty frontier proves nonnegativity on all of T_n (every direction is
-covered by some pruned ancestor); hitting max_depth with live branches is
-inconclusive.  All arithmetic is exact.
+The frontier is thus a set of forms, each under the first path that reached
+it in level order, and the first negative child in level order always lies
+under a kept branch.  An empty frontier proves nonnegativity on all of T_n
+(every direction is covered by some pruned ancestor); hitting max_depth with
+live branches is inconclusive.  All arithmetic is exact.
 
 The input form is read once as its content vector (forms._content): coprime
 integer coefficients, a positive multiple of the form, so the depth-0 tests
@@ -115,6 +119,9 @@ class Branch:
 
 @dataclass(frozen=True)
 class RunStats:
+    """Counts of distinct branches: a child repeating a kept child of the
+    same level is dropped by expand_level and counted nowhere."""
+
     branches_expanded: int  # child forms materialized (pruned and negative included)
     branches_pruned_positive: int
     peak_frontier_size: int
@@ -192,16 +199,12 @@ class _Table:
             )
         self.exponents = exps = tuple(_compositions(degree, n))[::-1]
         self.index = index = {e: i for i, e in enumerate(exps)}
-        maps = {}  # permutation -> its column map, shared by the cells using it
-        self.cells = []
-        for rep, sigma, tau in classes:
-            for perm in (sigma, tau):
-                if perm not in maps:
-                    # column of e' where e'[perm[i]] = e[i], for each column's e
-                    order = sorted(range(n), key=perm.__getitem__)
-                    moved = map(itemgetter(*order), exps)
-                    maps[perm] = list(map(index.__getitem__, moved))
-            self.cells.append((rep, maps[sigma], maps[tau]))
+        # permutation -> its column map, shared by the cells using it
+        maps = {tuple(range(n)): list(range(size))}
+        self.cells = [
+            (rep, _column_map(sigma, maps, index), _column_map(tau, maps, index))
+            for rep, sigma, tau in classes
+        ]
         self._packs = {}
         self._tops = {}
         top_row = max(sum(row) for rows in self._reps.values() for row in rows)
@@ -297,6 +300,30 @@ class _Table:
             slot = (1 << (w - 1)).to_bytes(w // 8, "little")
             top = self._tops[w] = int.from_bytes(slot * len(self.exponents), "little")
         return top
+
+
+def _column_map(perm: tuple, maps: dict, index: dict) -> list:
+    """The column of e' where e'[perm[i]] = e[i], for each column's e, the
+    columns being `index`'s keys in order; `maps` caches it per permutation
+    and must hold the identity's.
+
+    The map of t o q is map_t o map_q.  So a permutation other than a
+    transposition t takes one C-level map from t o perm, which fixes one
+    more index, and a transposition's is read off the exponents.
+    """
+    found = maps.get(perm)
+    if found is None:
+        i = next(i for i, p in enumerate(perm) if p != i)
+        t = list(range(len(perm)))
+        t[i], t[perm[i]] = perm[i], i
+        t = tuple(t)
+        if perm == t:
+            found = list(map(index.__getitem__, map(itemgetter(*t), index)))
+        else:
+            rest = _column_map(tuple(t[p] for p in perm), maps, index)
+            found = list(map(_column_map(t, maps, index).__getitem__, rest))
+        maps[perm] = found
+    return found
 
 
 def _slot_width(bound: int) -> int:
@@ -474,12 +501,15 @@ def _table_for(scheme: SubdivisionScheme, degree: int) -> _Table:
 # level expansion
 
 
-def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
+def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tuple:
     """expand_level on (items, path) branches, where items lists a form's
-    content-normalized coefficients as (table column, int) pairs."""
+    content-normalized coefficients as (table column, int) pairs; a child's
+    items are a tuple, which keys the kept children."""
     size = len(table.exponents)
     cells = table.cells
-    children = []
+    # kept child -> its path.  A repeat of a kept child would grow the same
+    # subtree again; the first copy, and with it the first path, is kept
+    first = {}
     pruned = 0
     for items, path in frontier:
         # First the floored pass: a parent of more than _COARSE_BITS bits is
@@ -518,12 +548,12 @@ def _expand(frontier: Iterable[tuple[list, IndexPath]], table: _Table) -> tuple:
             raw = x.to_bytes(size * k, "big")
             out = [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in pout]
             g = gcd(*out)
-            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m + 1,))
+            child = tuple([(r, v // g) for r, v in enumerate(out) if v])
             if sum(out) < 0:
-                return children, pruned, child
-            children.append(child)
+                return list(first.items()), pruned, (child, path + (m + 1,))
+            first.setdefault(child, path + (m + 1,))
         pruned += len(cells) - done
-    return children, pruned, None
+    return list(first.items()), pruned, None
 
 
 def expand_level(
@@ -535,8 +565,10 @@ def expand_level(
     positive children are counted in `pruned` and dropped; on the first
     trivially negative child the scan stops and that child is returned as
     `negative` (later children are never materialized); all other children
-    are returned content normalized.  Every branch form must be nonzero
-    and have the scheme's dimension and one shared degree.
+    are returned content normalized, each distinct form once, under the
+    path of its first copy (a repeat is neither returned nor counted).
+    Every branch form must be nonzero and have the scheme's dimension and
+    one shared degree.
     """
     branches = list(frontier)
     if not branches:
@@ -587,27 +619,21 @@ def witness_point(path: Iterable[int], scheme: SubdivisionScheme) -> tuple[Fract
     return point
 
 
-def _dedup(children: list) -> list:
-    first = {}  # keyed by coefficients; insertion order keeps the first path
-    for child in children:
-        first.setdefault(tuple(child[0]), child)
-    return list(first.values())
-
-
 def decide(
     form: Form,
     scheme: SubdivisionScheme,
     max_depth: int = 30,
-    dedup: bool = False,
     on_level: Callable[[int, int, int, int], None] | None = None,
 ) -> Verdict:
     """Decide whether `form` is nonnegative on the nonnegative orthant.
 
     Returns a PSD verdict when subdivision proves nonnegativity, an
     indefinite verdict carrying an exact interior point with negative value,
-    or inconclusive after `max_depth` levels.  `dedup` drops repeated
-    identical branch forms within a level, keeping the first path (off by
-    default so traces match the plain nested-loop expansion order).
+    or inconclusive after `max_depth` levels.  Each level is one
+    expand_level, so a child form repeated within a level is expanded once,
+    under its first path: identical forms have identical subtrees, so the
+    verdict, depth and witness are those of expanding every copy, and the
+    stats count distinct branches.
     `on_level`, when given, is called after each completed level as
     on_level(level, parents, pruned, kept); the level that stops the run on
     a negative child is reported by the verdict instead.
@@ -653,8 +679,6 @@ def decide(
         pruned_total += pruned
         if negative is not None:
             return indefinite(level, negative[1], RunStats(expanded, pruned_total, peak))
-        if dedup:
-            children = _dedup(children)
         peak = max(peak, len(children))
         if on_level is not None:
             on_level(level, len(frontier), pruned, len(children))

@@ -11,13 +11,18 @@ import pytest
 from formsign import (
     Form,
     NormalizedMatrix,
+    Outcome,
+    RunStats,
     SubdivisionScheme,
+    Verdict,
+    barycenter,
     make_central3_scheme,
     make_midpoint3_scheme,
     make_star3_scheme,
     make_trisection3_scheme,
     make_wds_scheme,
     parse_form,
+    witness_point,
 )
 
 VARS3 = ("x", "y", "z")
@@ -172,3 +177,41 @@ def random_simplex_point(rng: random.Random, n: int, denominator: int = 60):
     weights = [rng.randint(1, denominator) for _ in range(n)]
     total = sum(weights)
     return tuple(Fraction(w, total) for w in weights)
+
+
+def plain_decide(form: Form, scheme: SubdivisionScheme, max_depth: int) -> Verdict:
+    """decide as the plain nested loop over Form.substitute: every copy of a
+    repeated child is expanded and counted, parent by parent and cell by
+    cell.  Images are memoized per (form, cell), which saves time and
+    changes no count, order or path."""
+    if form.is_trivially_negative():
+        point = barycenter(form.n)
+        return Verdict(Outcome.INDEFINITE, 0, RunStats(0, 0, 1), (), point, form.evaluate(point))
+    if form.is_trivially_positive():
+        return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
+    images = {}
+    frontier = [(form.normalize_content(), ())]
+    expanded = pruned = 0
+    peak = 1
+    for level in range(1, max_depth + 1):
+        children = []
+        for parent, path in frontier:
+            for i, m in enumerate(scheme.matrices, 1):
+                child = images.get((parent, i))
+                if child is None:
+                    child = images[(parent, i)] = parent.substitute(m).normalize_content()
+                expanded += 1
+                if child.is_trivially_positive():
+                    pruned += 1
+                elif child.is_trivially_negative():
+                    stats = RunStats(expanded, pruned, peak)
+                    point = witness_point(path + (i,), scheme)
+                    value = form.evaluate(point)
+                    return Verdict(Outcome.INDEFINITE, level, stats, path + (i,), point, value)
+                else:
+                    children.append((child, path + (i,)))
+        peak = max(peak, len(children))
+        if not children:
+            return Verdict(Outcome.PSD, level, RunStats(expanded, pruned, peak))
+        frontier = children
+    return Verdict(Outcome.INCONCLUSIVE, max_depth, RunStats(expanded, pruned, peak))

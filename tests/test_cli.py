@@ -77,12 +77,24 @@ class TestDecideCommand:
         )
         assert code == 1
         report = json.loads(out)
+        # repeated branches are always expanded once, so no "dedup" field
+        assert list(report) == [
+            "form", "variables", "scheme", "max_depth",
+            "verdict", "depth_reached", "stats", "witness",
+        ]
         assert report["verdict"] == "indefinite"
         assert report["scheme"] == "wds3"
         assert report["witness"]["path"] == []
         point = tuple(F(v) for v in report["witness"]["point"])
         assert sum(point) == 1
         assert F(report["witness"]["value"]) < 0
+
+    def test_dedup_is_not_a_decide_option(self, capsys):
+        # repeated branches are always expanded once
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "--vars", "x,y", "--form", "x - y", "--scheme", "wds", "--dedup"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --dedup" in capsys.readouterr().err
 
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(

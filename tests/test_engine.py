@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,6 +42,7 @@ from conftest import (
     all_exponents,
     bisection_scheme,
     lowest_digit_limit,
+    plain_decide,
     swapped_halves_scheme,
 )
 
@@ -80,7 +82,8 @@ class TestDecideTermination:
         assert verdict.witness_path == (1, 3)
         assert verdict.witness_point == (F(67, 108), F(37, 108), F(1, 27))
         assert verdict.witness_value == F(-647, 23328)
-        assert verdict.stats == RunStats(9, 4, 4)
+        # level 1 keeps (1,) and (2,); children (3,) and (4,) repeat them
+        assert verdict.stats == RunStats(7, 4, 2)
         assert f.evaluate(verdict.witness_point) == verdict.witness_value
 
     def test_inconclusive_when_zero_is_irrational(self, wds2):
@@ -164,25 +167,46 @@ class TestTraceAndDedup:
         # invariant under swapping the first two variables, so the six
         # barycentric children collapse to three distinct forms
         f = parse_form("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", VARS3)
-        plain = decide(f, wds3)
-        merged = decide(f, wds3, dedup=True)
+        plain = plain_decide(f, wds3, 30)
+        merged = decide(f, wds3)
         assert plain.outcome is Outcome.PSD
         assert plain.depth_reached == 2
         assert merged.outcome is Outcome.PSD
         assert merged.depth_reached == 2
         assert plain.stats == RunStats(18, 16, 2)
-        assert merged.stats == RunStats(12, 10, 1)
+        assert merged.stats == RunStats(11, 10, 1)
 
     def test_dedup_keys_on_all_coefficients_and_keeps_the_first_path(self):
-        a = [(0, 1), (1, 2), (2, -1)]
-        b = [(0, 1), (1, 2), (2, -3)]
-        children = [(a, (1,)), (b, (2,)), (list(a), (3,)), (list(b), (4,))]
-        assert engine._dedup(children) == [(a, (1,)), (b, (2,))]
+        # the one-cell identity scheme: each child is its parent, content
+        # normalized, under the parent's path extended by 1
+        scheme = SubdivisionScheme("id2", 2, [NormalizedMatrix.identity(2)])
+        table = engine._Table(scheme, 2)
+        a = ((0, 1), (1, 2), (2, -1))
+        b = ((0, 1), (1, 2), (2, -3))
+        twice_a = tuple((j, 2 * v) for j, v in a)
+        frontier = [(a, (1,)), (b, (2,)), (a, (3,)), (twice_a, (4,)), (b, (5,))]
+        assert engine._expand(frontier, table) == ([(a, (1, 1)), (b, (2, 1))], 0, None)
 
-    def test_dedup_never_changes_the_verdict(self, wds3, mixed_sign_form):
-        a = decide(mixed_sign_form, wds3)
-        b = decide(mixed_sign_form, wds3, dedup=True)
-        assert a.outcome == b.outcome
+    def test_dedup_never_changes_the_verdict(self, wds3, midpoint3, mixed_sign_form):
+        for text in ("x^2 + y^2 + z^2 - 5/2*x*y", "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"):
+            f = parse_form(text, VARS3)
+            for scheme in (wds3, midpoint3):
+                plain = plain_decide(f, scheme, 6)
+                assert replace(decide(f, scheme, max_depth=6), stats=plain.stats) == plain
+        assert decide(mixed_sign_form, wds3) == plain_decide(mixed_sign_form, wds3, 30)
+
+    def test_radical_form_on_wds3_expands_each_distinct_branch_once(
+        self, wds3, big_radical_form
+    ):
+        # the plain loop grows 20 distinct children into 115, RunStats(115,
+        # 72, 24), and finds the same witness
+        verdict = decide(big_radical_form, wds3, max_depth=5)
+        assert verdict.outcome is Outcome.INDEFINITE
+        assert verdict.depth_reached == 4
+        assert verdict.witness_path == (1, 5, 1, 1)
+        assert verdict.witness_point == (F(391, 972), F(587, 1944), F(575, 1944))
+        assert verdict.witness_value == big_radical_form.evaluate(verdict.witness_point)
+        assert verdict.stats == RunStats(20, 12, 4)
 
 
 class TestExpandLevel:
@@ -210,11 +234,13 @@ class TestExpandLevel:
 
     def test_negative_child_short_circuits(self, wds3):
         # at the second level the third child of the first branch turns
-        # trivially negative; expansion must stop right there
+        # trivially negative; expansion must stop right there.  Children
+        # (3,) and (4,) of the first level repeat (1,) and (2,)
         f = parse_form("x^2 + y^2 + z^2 - 5/2*x*y", VARS3)
         first = expand_level([Branch(f.normalize_content(), ())], wds3)
         assert first.negative is None
-        assert [b.path for b in first.children] == [(1,), (2,), (3,), (4,)]
+        assert [b.path for b in first.children] == [(1,), (2,)]
+        assert first.pruned == 2
         second = expand_level(first.children, wds3)
         assert second.negative is not None
         assert second.negative.path == (1, 3)
@@ -325,6 +351,38 @@ def test_class_maps_rebuild_every_cell(name):
         assert rows == tuple(tuple(rep_rows[s][t] for t in tau) for s in sigma)
 
 
+def direct_column_map(perm, table):
+    """The column of e' where e'[perm[i]] = e[i], for each column's e, read
+    off the exponents alone."""
+    moved = [[0] * len(perm) for _ in table.exponents]
+    for out, e in zip(moved, table.exponents):
+        for i, p in enumerate(perm):
+            out[p] = e[i]
+    return [table.index[tuple(e)] for e in moved]
+
+
+COLUMN_MAP_SCHEMES = {
+    **{f"wds{n}": (lambda n=n: make_wds_scheme(n)) for n in range(2, 8)},
+    **KERNEL_SCHEMES,
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_MAP_SCHEMES)
+def test_composed_column_maps_match_direct_ones(name):
+    scheme = COLUMN_MAP_SCHEMES[name]()
+    n = scheme.n
+    images = [tuple(m.ints[i : i + n] for i in range(0, n * n, n)) for m in scheme.matrices]
+    classes = engine._classes(images)
+    for degree in range(4) if n < 7 else (2,):
+        table = engine._Table(scheme, degree)
+        direct = {}
+        for cell, (rep, sigma, tau) in zip(table.cells, classes):
+            for perm in (sigma, tau):
+                if perm not in direct:
+                    direct[perm] = direct_column_map(perm, table)
+            assert cell == (rep, direct[sigma], direct[tau])
+
+
 def test_same_sorted_lines_but_no_permutation():
     # equal sorted rows and sorted columns, yet no row and column
     # permutation turns one cell into the other
@@ -377,7 +435,8 @@ def sparse_child(table, columns, rep, pin, items):
 
 
 def sparse_expand(frontier, table, columns):
-    """engine._expand as one multiply-add per (parent term, expansion entry)."""
+    """engine._expand as one multiply-add per (parent term, expansion entry),
+    keeping the first copy of each kept child."""
     children, pruned = [], 0
     for items, path in frontier:
         for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
@@ -387,10 +446,11 @@ def sparse_expand(frontier, table, columns):
                 continue
             out = [out[r] for r in pout]
             g = gcd(*out)
-            child = ([(r, v // g) for r, v in enumerate(out) if v], path + (m_idx,))
+            child = (tuple((r, v // g) for r, v in enumerate(out) if v), path + (m_idx,))
             if sum(out) < 0:
                 return children, pruned, child
-            children.append(child)
+            if all(child[0] != kept for kept, _ in children):
+                children.append(child)
     return children, pruned, None
 
 
@@ -618,12 +678,12 @@ class TestSlotEdges:
         # x - y under the first wds2 cell (x -> 2x + y, y -> y) is 2x + 0y,
         # and under the second (x -> y, y -> 2x + y) it is -2x
         table = engine._Table(wds2, 1)
-        assert engine._expand([([(0, 1), (1, -1)], ())], table) == ([], 1, ([(0, -1)], (2,)))
+        assert engine._expand([([(0, 1), (1, -1)], ())], table) == ([], 1, (((0, -1),), (2,)))
 
     def test_minus_one_is_negative(self, table):
         # 2x - y: the y slot holds 2^31 - 1, one below the bias
         assert engine._expand([([(0, 2), (1, -1)], (7,))], table) == (
-            [([(0, 2), (1, -1)], (7, 1))], 0, None
+            [(((0, 2), (1, -1)), (7, 1))], 0, None
         )
         assert widths(table) == [32]
 
@@ -634,17 +694,17 @@ class TestSlotEdges:
         # +edge fills its slot with ones and carries nothing into the zero slot
         assert engine._expand([([(0, edge)], ())], table) == ([], 1, None)
         # -edge leaves 1 in its slot
-        assert engine._expand([([(1, -edge)], ())], table) == ([], 0, ([(1, -1)], (1,)))
+        assert engine._expand([([(1, -edge)], ())], table) == ([], 0, (((1, -1),), (1,)))
         # one below the edge next to -1 and 1: both decode exactly
-        kept = [(0, edge - 1), (1, -1)]
+        kept = ((0, edge - 1), (1, -1))
         assert engine._expand([(kept, ())], table) == ([(kept, (1,))], 0, None)
-        negative = [(0, 1), (1, 1 - edge)]
+        negative = ((0, 1), (1, 1 - edge))
         assert engine._expand([(negative, ())], table) == ([], 0, (negative, (1,)))
         # the table also keeps the 32-bit packs its maxc walk built
         assert widths(table) == sorted({32, w})
         # one past the edge takes the next width; the -1 keeps the floored
         # child from certifying it, so it reaches the exact pass
-        past = [(0, edge + 1), (1, -1)]
+        past = ((0, edge + 1), (1, -1))
         assert engine._expand([(past, ())], table) == ([(past, (1,))], 0, None)
         assert widths(table) == sorted({32, w, 2 * w})
 
@@ -652,14 +712,14 @@ class TestSlotEdges:
         self, table, packs_asked
     ):
         # 2^15 has 16 bits: the exact pass alone, asked once for its packs
-        narrow = [(0, 2**15), (1, -1)]
+        narrow = ((0, 2**15), (1, -1))
         assert engine._expand([(narrow, ())], table) == ([(narrow, (1,))], 0, None)
         assert packs_asked == [(0, 32)]
         # 2^16 has 17 bits: the floored child 2x - y fails on the strips,
         # whose 24-bit slots hold 1 bit of entry, 2 of term count and 16 + 1
         # of floored multiplier, then the exact one
         packs_asked.clear()
-        wide = [(0, 2**16), (1, -1)]
+        wide = ((0, 2**16), (1, -1))
         assert engine._expand([(wide, ())], table) == ([(wide, (1,))], 0, None)
         assert packs_asked == [("strips", 24), (0, 32)]
 
@@ -672,7 +732,7 @@ def test_floored_minus_one_falls_through_to_an_exact_zero(wds2, packs_asked):
     table = engine._Table(wds2, 1)
     packs_asked.clear()
     assert engine._expand([([(0, a), (1, -a)], ())], table) == (
-        [], 1, ([(0, -1)], (2,))
+        [], 1, (((0, -1),), (2,))
     )
     # one floored pass on the strips flags both cells, and each cell then
     # asks for its exact packs
@@ -799,7 +859,7 @@ class TestBatchedFlooredPass:
         frontier = [(items, (7,))]
         result = engine._expand(frontier, table)
         assert result == sparse_expand(frontier, table, columns)
-        assert result == ([], 4, ([(y, -1)], (7, 5)))
+        assert result == ([], 4, (((y, -1),), (7, 5)))
 
 
 class TestWitnessPoint:

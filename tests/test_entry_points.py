@@ -1,7 +1,8 @@
-"""Property tests: decide agrees with its public single steps, is invariant
-under dedup and positive scaling, and commutes with renaming variables."""
+"""Property tests: decide agrees with its public single steps and with the
+plain loop that expands every repeated child, is invariant under positive
+scaling, and commutes with renaming variables."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from formsign import (
     make_trisection3_scheme,
     make_wds_scheme,
 )
-from conftest import all_exponents
+from conftest import all_exponents, plain_decide
 
 SCHEMES = {"wds3": make_wds_scheme(3), "midpoint3": make_midpoint3_scheme()}
 TRISECTION3 = make_trisection3_scheme()
@@ -45,8 +46,8 @@ schemes = st.sampled_from(sorted(SCHEMES))
 
 
 def replay(form, scheme):
-    """decide (dedup off) rebuilt from expand_level, one public step per
-    level: (outcome, depth, witness path, stats)."""
+    """decide rebuilt from expand_level, one public step per level:
+    (outcome, depth, witness path, stats)."""
     if form.is_trivially_negative():
         return Outcome.INDEFINITE, 0, (), RunStats(0, 0, 1)
     if form.is_trivially_positive():
@@ -79,9 +80,12 @@ def test_decide_matches_expand_level_replay(form, name):
 @EXAMPLES
 @given(forms(), schemes)
 def test_dedup_keeps_outcome_depth_and_witness(form, name):
-    plain = decide(form, SCHEMES[name], max_depth=MAX_DEPTH)
-    deduped = decide(form, SCHEMES[name], max_depth=MAX_DEPTH, dedup=True)
+    # a repeated child is expanded once: outcome, depth, witness path, point
+    # and value are the plain loop's, and only the counts can be smaller
+    plain = plain_decide(form, SCHEMES[name], MAX_DEPTH)
+    deduped = decide(form, SCHEMES[name], max_depth=MAX_DEPTH)
     assert replace(deduped, stats=plain.stats) == plain
+    assert all(map(int.__le__, astuple(deduped.stats), astuple(plain.stats)))
 
 
 @EXAMPLES

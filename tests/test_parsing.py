@@ -292,6 +292,24 @@ class TestParseErrors:
         with pytest.raises(FormSyntaxError, match="unexpected character"):
             parse_form("x $ y", "x,y")
 
+    def test_tokens_and_positions_around_any_whitespace(self):
+        # Unicode whitespace is skipped like a space, any other character
+        # that starts no token is refused where it stands, and a long
+        # whitespace tail costs linear time (a regex alternation with a
+        # leading \s* would retry the tail from each of its positions)
+        text = "\u3000x\t^ 2\u2003+\n12"
+        assert _tokenize(text) == [
+            ("NAME", "x", 1), ("^", "^", 3), ("NUM", 2, 5), ("+", "+", 7),
+            ("NUM", 12, 9), ("END", None, 11),
+        ]
+        with pytest.raises(FormSyntaxError) as exc:
+            _tokenize("x \u00b2")
+        assert str(exc.value) == "unexpected character '\u00b2' (at position 2)"
+        start = time.process_time()
+        tail = "x" + " " * 10**6
+        assert _tokenize(tail) == [("NAME", "x", 0), ("END", None, len(tail))]
+        assert time.process_time() - start < 1.0
+
     def test_deep_nesting_is_a_syntax_error(self):
         # 100 levels parse; 2000 parentheses or minus signs would overflow
         # the recursive descent, so they are refused as syntax errors
