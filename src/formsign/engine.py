@@ -45,21 +45,21 @@ bit is set exactly when the coefficient is nonnegative.  So "all
 coefficients >= 0" is one AND against the bias, and only kept or negative
 children are decoded slot by slot.
 
-Most children are pruned, so each level runs in two passes.  A parent with
-coefficients of more than _COARSE_BITS bits is first floored to that many
-(each v_j shifted right by the same s).  Table entries are nonnegative and
+Most children are pruned, so on a table of at most _BATCH_ENTRIES strip
+entries each level runs in two passes.  There a parent with coefficients
+of more than _COARSE_BITS bits is first floored to that many (each v_j
+shifted right by the same s).  Table entries are nonnegative and
 v_j >= 2^s (v_j >> s), so a floored child with no negative coefficient
 proves the child nonnegative: it is counted as pruned and its full-width
-product is never formed.  On a table of at most _BATCH_ENTRIES strip
-entries the floored children of all cells are computed at once: the
-packs of one input column under every cell, cell 1 on top, are joined into
-one strip at a width that holds any floored child, so the pass is one
-multiply-add per floored term, and only the cells whose segment shows a
-negative slot go on.  A larger table computes the floored children cell by
-cell in the narrow slots the floored parent needs.  Every child the floored
-pass cannot certify, and every child of a narrower parent, is computed
-exactly as above, so the children, their order and the counts are those of
-the exact pass alone.
+product is never formed.  The floored children of all cells are computed
+at once: the packs of one input column under every cell, cell 1 on top,
+are joined into one strip at a width that holds any floored child, so the
+pass is one multiply-add per floored term, and only the cells whose
+segment shows a negative slot go on.  A larger table keeps no strips and
+runs the exact pass alone.  Every child the floored pass cannot certify,
+and every child of a narrower parent, is computed exactly as above, so
+the children, their order and the counts are those of the exact pass
+alone.
 """
 
 from __future__ import annotations
@@ -88,18 +88,20 @@ IndexPath = tuple[int, ...]  # 1-based matrix choices, root to leaf
 MAX_TABLE_ENTRIES = 10**6
 
 # tables of at most this many strip entries (cells times the square of the
-# monomial count, under 1 MB of strips at 56-bit slots) floor all of a
-# parent's cells at once.  Past it strips take megabytes (3-11 MB for the
-# degree-24 tables of wds3, midpoint3 and trisection3, 43 MB for wds5 at
-# degree 6) and their build is paid again in every cold process, and a
-# parent whose first cells settle it early (wds4 at degree 10) pays for
-# floored children of every cell it never reaches
+# monomial count, under 1 MB of strips at 56-bit slots) keep strips and
+# floor all of a parent's cells at once.  A larger table runs the exact
+# pass alone: its strips would take megabytes (3-11 MB for the degree-24
+# tables of wds3, midpoint3 and trisection3, 43 MB for wds5 at degree 6)
+# and their build is paid again in every cold process, and a parent whose
+# first cells settle it early (wds4 at degree 10) would pay for floored
+# children of every cell it never reaches
 _BATCH_ENTRIES = 2**17
 
-# _expand floors a parent of more bits than this to this many before its
-# exact pass.  The floored multipliers fit one 30-bit digit of a Python int,
-# and a floored child fits floored_width bits: 16 for the multiplier, the
-# monomial count's bits for the sum and maxc's for the entries, plus a sign
+# on a table with strips, _expand floors a parent of more bits than this to
+# this many before its exact pass.  The floored multipliers fit one 30-bit
+# digit of a Python int, and a floored child fits floored_width bits: 16 for
+# the multiplier, the monomial count's bits for the sum and maxc's for the
+# entries, plus a sign
 _COARSE_BITS = 16
 
 
@@ -174,7 +176,8 @@ class _Table:
     column pin[j] of every cell's representative packed at floored_width,
     the cells' slots concatenated in scheme order with cell 1 on top, so
     one multiply-add per parent term computes a floored child in every
-    cell at once (floored).  Larger tables hold strips = None.
+    cell at once (floored).  Larger tables hold strips = None and run no
+    floored pass.
     """
 
     __slots__ = (
@@ -245,21 +248,18 @@ class _Table:
             slot = (1 << (wf - 1)).to_bytes(kf, "big")
             self._strips_top = int.from_bytes(slot * (size * len(self.cells)), "big")
 
-    def floored(self, low: list) -> Iterable[int]:
+    def floored(self, low: list) -> list[int]:
         """The cells, 0-based and in order, whose floored child has a
         negative coefficient, `low` being a floored parent's (column, int)
-        pairs, each int at most 2^_COARSE_BITS in absolute value.
+        pairs, each int at most 2^_COARSE_BITS in absolute value; the table
+        must have strips.
 
-        With strips, y is the bias 2^(floored_width - 1) in every slot of
-        every cell plus one multiply-add per floored term; every biased
-        slot lies in [1, 2^floored_width) without borrowing from the next,
-        so z = (y & bias) ^ bias has a bit set exactly in each negative
-        slot, and each cell whose segment of z is nonzero is returned.
-        Without strips, each cell's floored child is computed in turn at
-        the width its parent needs, and the cells are yielded lazily.
+        y is the bias 2^(floored_width - 1) in every slot of every cell
+        plus one multiply-add per floored term; every biased slot lies in
+        [1, 2^floored_width) without borrowing from the next, so
+        z = (y & bias) ^ bias has a bit set exactly in each negative slot,
+        and each cell whose segment of z is nonzero is returned.
         """
-        if self.strips is None:
-            return self._floored_each(low)
         strips, top = self.strips, self._strips_top
         y = top
         for j, c in low:
@@ -273,17 +273,6 @@ class _Table:
             flagged.append(m)
             z &= (1 << (last - m) * cell_bits) - 1  # drop cell m's segment
         return flagged
-
-    def _floored_each(self, low: list) -> Iterable[int]:
-        low_w = _slot_width(self.maxc * sum(abs(c) for _, c in low))
-        top = self.top(low_w)
-        for m, (rep, pin, _) in enumerate(self.cells):
-            packs = self.packs(rep, low_w)
-            y = top
-            for j, c in low:
-                y += c * packs[pin[j]]
-            if y & top != top:
-                yield m
 
     def packs(self, rep: int, w: int) -> list[int]:
         """Representative rep's columns packed into w-bit slots, built on
@@ -512,13 +501,15 @@ def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tu
     first = {}
     pruned = 0
     for items, path in frontier:
-        # First the floored pass: a parent of more than _COARSE_BITS bits is
-        # floored to low_j = v_j >> s, zeros dropped.  v_j >= 2^s * low_j and
-        # every entry is >= 0, so 2^s times a floored child is at most the
-        # child slot by slot, and a floored child with no negative
-        # coefficient proves the child nonnegative.  Only the cells it
-        # cannot settle pay the full-width product below.
-        s = max(abs(v) for _, v in items).bit_length() - _COARSE_BITS
+        # First, on a table with strips, the floored pass: a parent of more
+        # than _COARSE_BITS bits is floored to low_j = v_j >> s, zeros
+        # dropped.  v_j >= 2^s * low_j and every entry is >= 0, so 2^s times
+        # a floored child is at most the child slot by slot, and a floored
+        # child with no negative coefficient proves the child nonnegative.
+        # Only the cells it cannot settle pay the full-width product below.
+        s = 0
+        if table.strips is not None:
+            s = max(abs(v) for _, v in items).bit_length() - _COARSE_BITS
         low = [(j, c) for j, v in items if (c := v >> s)] if s > 0 else []
         exact = table.floored(low) if low else range(len(cells))
         w = 0

@@ -587,8 +587,8 @@ def two_pass_model(frontier, table, columns):
 
     A table of at most engine._BATCH_ENTRIES cells x size^2 entries floors
     every cell of a parent at once on its strips, so it asks for no packs
-    until the exact pass; a larger one floors cell by cell, in slots of the
-    width the floored parent needs."""
+    until the exact pass; a larger one has no strips and runs the exact
+    pass alone."""
     size = len(table.exponents)
     batched = len(table.cells) * size**2 <= engine._BATCH_ENTRIES
     assert (table.strips is not None) == batched
@@ -597,18 +597,15 @@ def two_pass_model(frontier, table, columns):
     asked, pruned = [], {"floored": 0, "exact": 0}
     for items, _ in frontier:
         s = max(abs(v) for _, v in items).bit_length() - engine._COARSE_BITS
-        low = [(j, v >> s) for j, v in items] if s > 0 else []
-        low_w = engine._slot_width(table.maxc * sum(abs(c) for _, c in low))
+        low = [(j, v >> s) for j, v in items] if s > 0 and batched else []
         w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
-        if low and batched:
+        if low:
             asked.append(("strips", table.floored_width))
         for rep, pin, _ in table.cells:
             if low:
                 floored = sparse_child(table, columns, rep, pin, low)
                 # every floored child fits the strips' slots
                 assert max(map(abs, floored)) < 2 ** (table.floored_width - 1)
-                if not batched:
-                    asked.append((rep, low_w))
                 if min(floored) >= 0:
                     pruned["floored"] += 1
                     continue
@@ -749,25 +746,57 @@ def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
     assert widths(table) == [32]
 
 
-def test_per_cell_floored_pass_matches_sparse_loop(packs_asked):
+@pytest.fixture
+def no_floored_pass(monkeypatch):
+    """_Table.floored raising, for runs whose tables keep no strips."""
+
+    def refuse(table, low):
+        raise AssertionError("a table without strips ran the floored pass")
+
+    monkeypatch.setattr(engine._Table, "floored", refuse)
+
+
+def test_strip_free_table_runs_the_exact_pass_alone(packs_asked, no_floored_pass):
     # wds4 at degree 6 has 24 cells of 84 monomials, 169 344 strip entries,
-    # past engine._BATCH_ENTRIES: it floors cell by cell, at the width each
-    # floored parent needs
+    # past engine._BATCH_ENTRIES: it keeps no strips, floors no parent, and
+    # asks for packs only at each parent's exact width
     scheme = make_wds_scheme(4)
     table = engine._Table(scheme, 6)
     assert table.strips is None
+    built = set(widths(table))  # the width of the maxc walk
     columns = substituted_columns(scheme, table)
     rng = random.Random("per-cell floored")
     size = len(table.exponents)
-    floored = 0
+    exact = set()
+    seen = {"kept": 0, "pruned": 0}
     for kinds in ((300,), ("cancel", 40), ("mixed", 1, 120)):
         frontier = [(random_parent(rng, size, kind), (p,)) for p, kind in enumerate(kinds, 1)]
+        exact |= {
+            engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
+            for items, _ in frontier
+        }
         packs_asked.clear()
-        assert engine._expand(frontier, table) == sparse_expand(frontier, table, columns)
-        asked, pruned = two_pass_model(frontier, table, columns)
+        children, pruned, negative = engine._expand(frontier, table)
+        assert (children, pruned, negative) == sparse_expand(frontier, table, columns)
+        asked, _ = two_pass_model(frontier, table, columns)
         assert packs_asked == asked
-        floored += pruned["floored"]
-    assert floored
+        assert all(rep in table._reps and w in exact for rep, w in packs_asked)
+        seen["kept"] += len(children)
+        seen["pruned"] += pruned
+    assert all(seen.values()), seen
+    assert set(widths(table)) <= exact | built
+
+
+def test_radical_form_on_trisection3_computes_each_child_once(
+    trisection3, big_radical_form, no_floored_pass
+):
+    # the degree-24 table of trisection3 keeps no strips, so no parent is
+    # floored and each of the 14 children is computed once, at full width
+    verdict = decide(big_radical_form, trisection3)
+    assert verdict.outcome is Outcome.INDEFINITE
+    assert verdict.witness_path == (2, 5)
+    assert verdict.stats == RunStats(14, 7, 6)
+    assert verdict.witness_value == big_radical_form.evaluate(verdict.witness_point)
 
 
 @pytest.mark.parametrize("name, degree", [("wds3", 24), ("wds5", 6)])
