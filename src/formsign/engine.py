@@ -46,20 +46,19 @@ coefficients >= 0" is one AND against the bias, and only kept or negative
 children are decoded slot by slot.
 
 Most children are pruned, so on a table of at most _BATCH_ENTRIES strip
-entries each level runs in two passes.  There a parent with coefficients
-of more than _COARSE_BITS bits is first floored to that many (each v_j
+entries each level runs in two passes.  The first computes a child in
+every cell at once: the packs of one input column under every cell, cell 1
+on top, are joined into one strip at a width that holds any child of a
+parent of at most _COARSE_BITS bits, so the pass is one multiply-add per
+parent term.  A wider parent is first floored to that many bits (each v_j
 shifted right by the same s).  Table entries are nonnegative and
 v_j >= 2^s (v_j >> s), so a floored child with no negative coefficient
 proves the child nonnegative: it is counted as pruned and its full-width
-product is never formed.  The floored children of all cells are computed
-at once: the packs of one input column under every cell, cell 1 on top,
-are joined into one strip at a width that holds any floored child, so the
-pass is one multiply-add per floored term, and only the cells whose
-segment shows a negative slot go on.  A larger table keeps no strips and
-runs the exact pass alone.  Every child the floored pass cannot certify,
-and every child of a narrower parent, is computed exactly as above, so
-the children, their order and the counts are those of the exact pass
-alone.
+product is never formed.  A parent of at most _COARSE_BITS bits enters
+unfloored, and its strip sum is its children.  Only the cells whose
+segment shows a negative slot go on to the exact pass above.  A larger
+table keeps no strips and runs the exact pass alone.  Either way the
+children, their order and the counts are those of the exact pass alone.
 """
 
 from __future__ import annotations
@@ -97,11 +96,11 @@ MAX_TABLE_ENTRIES = 10**6
 # children of every cell it never reaches
 _BATCH_ENTRIES = 2**17
 
-# on a table with strips, _expand floors a parent of more bits than this to
-# this many before its exact pass.  The floored multipliers fit one 30-bit
-# digit of a Python int, and a floored child fits floored_width bits: 16 for
-# the multiplier, the monomial count's bits for the sum and maxc's for the
-# entries, plus a sign
+# on a table with strips, the strip pass floors a parent of more bits than
+# this to this many, and takes a narrower one as it is.  The multipliers fit
+# one 30-bit digit of a Python int, and a strip child fits floored_width
+# bits: 16 for the multiplier, the monomial count's bits for the sum and
+# maxc's for the entries, plus a sign
 _COARSE_BITS = 16
 
 
@@ -175,9 +174,9 @@ class _Table:
     A table of at most _BATCH_ENTRIES strip entries also holds strips[j]:
     column pin[j] of every cell's representative packed at floored_width,
     the cells' slots concatenated in scheme order with cell 1 on top, so
-    one multiply-add per parent term computes a floored child in every
-    cell at once (floored).  Larger tables hold strips = None and run no
-    floored pass.
+    one multiply-add per parent term computes a child of the (floored)
+    parent in every cell at once (candidates).  Larger tables hold
+    strips = None, and every cell is a candidate.
     """
 
     __slots__ = (
@@ -230,12 +229,13 @@ class _Table:
             if pack & high
         )
         self.maxc = int.from_bytes(largest, "big")
-        # |low_j| <= 2^_COARSE_BITS for at most size terms, against entries
-        # of at most maxc: every floored child is below 2^(floored_width - 1)
-        bound = self.maxc.bit_length() + size.bit_length() + _COARSE_BITS + 1
-        self.floored_width = wf = -(-bound // 8) * 8
         self.strips = None
         if len(self.cells) * size**2 <= _BATCH_ENTRIES:
+            # |low_j| <= 2^_COARSE_BITS for at most size terms, against
+            # entries of at most maxc: every strip child is below
+            # 2^(floored_width - 1)
+            bound = self.maxc.bit_length() + size.bit_length() + _COARSE_BITS + 1
+            self.floored_width = wf = -(-bound // 8) * 8
             kf = wf // 8
             columns = {
                 rep: [pack.to_bytes(size * kf, "big") for pack in _walk(rows, exps, wf)]
@@ -245,25 +245,27 @@ class _Table:
             for j in range(size):
                 strip = b"".join(columns[rep][pin[j]] for rep, pin, _ in self.cells)
                 self.strips.append(int.from_bytes(strip, "big"))
-            slot = (1 << (wf - 1)).to_bytes(kf, "big")
-            self._strips_top = int.from_bytes(slot * (size * len(self.cells)), "big")
+            self._strips_top = _bias(wf, size * len(self.cells))
 
-    def floored(self, low: list) -> list[int]:
-        """The cells, 0-based and in order, whose floored child has a
-        negative coefficient, `low` being a floored parent's (column, int)
-        pairs, each int at most 2^_COARSE_BITS in absolute value; the table
-        must have strips.
+    def candidates(self, items: Sequence) -> Sequence[int]:
+        """The cells, 0-based and in order, whose child of the parent with
+        (column, int) pairs `items` may have a negative coefficient: every
+        cell on a table without strips, else each whose child of the parent
+        floored to low_j = v_j >> s, s = max(0, bits - _COARSE_BITS), has one.
 
-        y is the bias 2^(floored_width - 1) in every slot of every cell
-        plus one multiply-add per floored term; every biased slot lies in
+        y is the bias 2^(floored_width - 1) in every slot of every cell plus
+        one multiply-add per term; every biased slot lies in
         [1, 2^floored_width) without borrowing from the next, so
         z = (y & bias) ^ bias has a bit set exactly in each negative slot,
         and each cell whose segment of z is nonzero is returned.
         """
-        strips, top = self.strips, self._strips_top
-        y = top
-        for j, c in low:
-            y += c * strips[j]
+        strips = self.strips
+        if strips is None:
+            return range(len(self.cells))
+        s = max(0, max(abs(v) for _, v in items).bit_length() - _COARSE_BITS)
+        y = top = self._strips_top
+        for j, v in items:
+            y += (v >> s) * strips[j]
         z = (y & top) ^ top
         cell_bits = len(self.exponents) * self.floored_width
         last = len(self.cells) - 1
@@ -286,9 +288,13 @@ class _Table:
         """2^(w-1) in every w-bit slot: the bias, and the sign bits' mask."""
         top = self._tops.get(w)
         if top is None:
-            slot = (1 << (w - 1)).to_bytes(w // 8, "little")
-            top = self._tops[w] = int.from_bytes(slot * len(self.exponents), "little")
+            top = self._tops[w] = _bias(w, len(self.exponents))
         return top
+
+
+def _bias(w: int, slots: int) -> int:
+    """2^(w-1) in each of `slots` w-bit slots, w a multiple of 8."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "big") * slots, "big")
 
 
 def _column_map(perm: tuple, maps: dict, index: dict) -> list:
@@ -501,21 +507,10 @@ def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tu
     first = {}
     pruned = 0
     for items, path in frontier:
-        # First, on a table with strips, the floored pass: a parent of more
-        # than _COARSE_BITS bits is floored to low_j = v_j >> s, zeros
-        # dropped.  v_j >= 2^s * low_j and every entry is >= 0, so 2^s times
-        # a floored child is at most the child slot by slot, and a floored
-        # child with no negative coefficient proves the child nonnegative.
-        # Only the cells it cannot settle pay the full-width product below.
-        s = 0
-        if table.strips is not None:
-            s = max(abs(v) for _, v in items).bit_length() - _COARSE_BITS
-        low = [(j, c) for j, v in items if (c := v >> s)] if s > 0 else []
-        exact = table.floored(low) if low else range(len(cells))
         w = 0
         done = 0  # cells before this one are settled
-        for m in exact:
-            pruned += m - done  # the floored pass pruned the cells between
+        for m in table.candidates(items):
+            pruned += m - done  # the cells between have no negative coefficient
             done = m + 1
             rep, pin, pout = cells[m]
             # child coefficient r is the sum over the parent's terms of v_j

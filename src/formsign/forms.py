@@ -211,12 +211,13 @@ class Form:
             )
         n = self.n
         keys = _Keys(n, self.degree)
+        linear = [{u: c for u, c in zip(keys.units, image) if c} for image in images]
         pows: list[list[dict]] = [[{0: Fraction(1)}] for _ in range(n)]
 
         def image_power(i: int, e: int) -> dict:
             cache = pows[i]
             while len(cache) <= e:
-                cache.append(_mul_linear(cache[-1], images[i], keys.units))
+                cache.append(_mul(cache[-1], linear[i]))
             return cache[e]
 
         out: dict[int, Fraction] = {}
@@ -361,8 +362,8 @@ _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 # Sums start at int 0, so integer inputs (the parser's integer numerators)
-# stay integer and Fraction inputs give Fractions.  Both routines take and
-# give dicts from _Keys keys to coefficients.
+# stay integer and Fraction inputs give Fractions.  _mul takes and gives
+# dicts from _Keys keys to coefficients.
 
 
 def _mul(p: dict, q: dict) -> dict:
@@ -376,9 +377,3 @@ def _mul(p: dict, q: dict) -> dict:
             elif k in out:
                 del out[k]
     return out
-
-
-def _mul_linear(p: dict, image: tuple, units: Sequence[int]) -> dict:
-    """p times a linear form; image[j] is the coefficient of the variable
-    whose key is units[j]."""
-    return _mul(p, {u: c for u, c in zip(units, image) if c})

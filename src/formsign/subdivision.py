@@ -206,7 +206,9 @@ class SubdivisionScheme:
     different (equally valid) traces.  Every scheme is checked when it is
     built: the constructor raises SchemeError("invalid scheme: ...") with the
     failed validate_scheme result attached, so a scheme object is valid, and
-    keeps the passed result as `validation`.
+    keeps the passed result as `validation`.  The name must be one a
+    scheme file can carry: one line, not empty, with no '#' and no leading
+    or trailing whitespace.
     """
 
     __slots__ = ("name", "n", "matrices", "validation", "__weakref__")
@@ -222,7 +224,13 @@ class SubdivisionScheme:
                 raise DimensionMismatchError(
                     f"scheme is {n}-dimensional but contains a {m.n} x {m.n} matrix"
                 )
-        self.name = str(name)
+        name = str(name)
+        if name.splitlines() != [name] or "#" in name or name != name.strip():
+            raise SchemeError(
+                f"scheme name {name!r} is not one a scheme file can carry: one "
+                "nonempty line with no '#' and no leading or trailing whitespace"
+            )
+        self.name = name
         self.n = n
         self.matrices = mats
         validation = validate_scheme(self)
@@ -349,9 +357,7 @@ def _edge_point(value, zero_at: int, label: str):
     return pt
 
 
-def make_star3_scheme(
-    center, edge12, edge23, edge13, name: str = "star3"
-) -> SubdivisionScheme:
+def make_star3_scheme(center, edge12, edge23, edge13) -> SubdivisionScheme:
     """Six-cell star subdivision of the triangle around an interior point.
 
     `center` is a strictly interior point; `edge12`, `edge23` and `edge13`
@@ -377,7 +383,7 @@ def make_star3_scheme(
         (e1, c, o),
     )
     return SubdivisionScheme(
-        name, 3, tuple(NormalizedMatrix.from_columns(cols) for cols in cells)
+        "star3", 3, tuple(NormalizedMatrix.from_columns(cols) for cols in cells)
     )
 
 

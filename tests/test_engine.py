@@ -559,50 +559,50 @@ def widths(table):
 @pytest.fixture
 def packs_asked(monkeypatch):
     """Every (rep, width) that _Table.packs is asked for, in order, with
-    ("strips", floored_width) for each floored pass a table runs on its
-    strips."""
+    ("strips", floored_width) for each strip pass a table runs in
+    _Table.candidates."""
     asked = []
-    packs, floored = engine._Table.packs, engine._Table.floored
+    packs, candidates = engine._Table.packs, engine._Table.candidates
 
     def record(table, rep, w):
         asked.append((rep, w))
         return packs(table, rep, w)
 
-    def record_floored(table, low):
+    def record_candidates(table, items):
         if table.strips is not None:
             asked.append(("strips", table.floored_width))
-        return floored(table, low)
+        return candidates(table, items)
 
     monkeypatch.setattr(engine._Table, "packs", record)
-    monkeypatch.setattr(engine._Table, "floored", record_floored)
+    monkeypatch.setattr(engine._Table, "candidates", record_candidates)
     return asked
 
 
 def two_pass_model(frontier, table, columns):
     """The (rep, width) pairs engine._expand asks the table's packs for, with
-    ("strips", floored_width) for each batched floored pass, and how many
-    children of parents wider than engine._COARSE_BITS its floored pass
-    prunes and how many only its exact pass prunes, from one multiply-add
-    per (parent term, expansion entry).
+    ("strips", floored_width) for each strip pass, and how many children
+    the strip pass prunes and how many only the exact pass prunes, from
+    one multiply-add per (parent term, expansion entry).
 
-    A table of at most engine._BATCH_ENTRIES cells x size^2 entries floors
-    every cell of a parent at once on its strips, so it asks for no packs
-    until the exact pass; a larger one has no strips and runs the exact
-    pass alone."""
+    A table of at most engine._BATCH_ENTRIES cells x size^2 entries runs
+    every parent through its strips, floored to engine._COARSE_BITS bits
+    if it is wider, so it asks for no packs until the exact pass; a larger
+    one has no strips and runs the exact pass alone."""
     size = len(table.exponents)
     batched = len(table.cells) * size**2 <= engine._BATCH_ENTRIES
     assert (table.strips is not None) == batched
-    bits = table.maxc.bit_length() + size.bit_length() + engine._COARSE_BITS + 1
-    assert table.floored_width == -(-bits // 8) * 8
+    if batched:
+        bits = table.maxc.bit_length() + size.bit_length() + engine._COARSE_BITS + 1
+        assert table.floored_width == -(-bits // 8) * 8
     asked, pruned = [], {"floored": 0, "exact": 0}
     for items, _ in frontier:
-        s = max(abs(v) for _, v in items).bit_length() - engine._COARSE_BITS
-        low = [(j, v >> s) for j, v in items] if s > 0 and batched else []
+        s = max(0, max(abs(v) for _, v in items).bit_length() - engine._COARSE_BITS)
+        low = [(j, v >> s) for j, v in items]
         w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
-        if low:
+        if batched:
             asked.append(("strips", table.floored_width))
         for rep, pin, _ in table.cells:
-            if low:
+            if batched:
                 floored = sparse_child(table, columns, rep, pin, low)
                 # every floored child fits the strips' slots
                 assert max(map(abs, floored)) < 2 ** (table.floored_width - 1)
@@ -612,7 +612,9 @@ def two_pass_model(frontier, table, columns):
             asked.append((rep, w))
             out = sparse_child(table, columns, rep, pin, items)
             if min(out) >= 0:
-                pruned["exact"] += bool(low)
+                # a child the strips flag is one they floored
+                assert s > 0 or not batched
+                pruned["exact"] += batched
             elif sum(out) < 0:
                 return asked, pruned
     return asked, pruned
@@ -705,16 +707,19 @@ class TestSlotEdges:
         assert engine._expand([(past, ())], table) == ([(past, (1,))], 0, None)
         assert widths(table) == sorted({32, w, 2 * w})
 
-    def test_parents_of_at_most_coarse_bits_skip_the_floored_pass(
+    def test_parents_of_at_most_coarse_bits_enter_the_strips_unfloored(
         self, table, packs_asked
     ):
-        # 2^15 has 16 bits: the exact pass alone, asked once for its packs
+        # 2^15 has 16 bits: the strips' 24-bit slots, 1 bit of entry, 2 of
+        # term count and 16 + 1 of multiplier, hold the child itself, whose
+        # y slot is -1; then the exact pass, asked once for its packs
         narrow = ((0, 2**15), (1, -1))
+        assert table.candidates(narrow) == [0]
+        packs_asked.clear()
         assert engine._expand([(narrow, ())], table) == ([(narrow, (1,))], 0, None)
-        assert packs_asked == [(0, 32)]
+        assert packs_asked == [("strips", 24), (0, 32)]
         # 2^16 has 17 bits: the floored child 2x - y fails on the strips,
-        # whose 24-bit slots hold 1 bit of entry, 2 of term count and 16 + 1
-        # of floored multiplier, then the exact one
+        # then the exact one
         packs_asked.clear()
         wide = ((0, 2**16), (1, -1))
         assert engine._expand([(wide, ())], table) == ([(wide, (1,))], 0, None)
@@ -747,16 +752,21 @@ def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
 
 
 @pytest.fixture
-def no_floored_pass(monkeypatch):
-    """_Table.floored raising, for runs whose tables keep no strips."""
+def no_strip_pass(monkeypatch):
+    """_Table.candidates checked to name every cell, for runs whose tables
+    keep no strips."""
+    candidates = engine._Table.candidates
 
-    def refuse(table, low):
-        raise AssertionError("a table without strips ran the floored pass")
+    def every_cell(table, items):
+        assert table.strips is None, "a table with strips"
+        cells = candidates(table, items)
+        assert cells == range(len(table.cells))
+        return cells
 
-    monkeypatch.setattr(engine._Table, "floored", refuse)
+    monkeypatch.setattr(engine._Table, "candidates", every_cell)
 
 
-def test_strip_free_table_runs_the_exact_pass_alone(packs_asked, no_floored_pass):
+def test_strip_free_table_runs_the_exact_pass_alone(packs_asked, no_strip_pass):
     # wds4 at degree 6 has 24 cells of 84 monomials, 169 344 strip entries,
     # past engine._BATCH_ENTRIES: it keeps no strips, floors no parent, and
     # asks for packs only at each parent's exact width
@@ -788,7 +798,7 @@ def test_strip_free_table_runs_the_exact_pass_alone(packs_asked, no_floored_pass
 
 
 def test_radical_form_on_trisection3_computes_each_child_once(
-    trisection3, big_radical_form, no_floored_pass
+    trisection3, big_radical_form, no_strip_pass
 ):
     # the degree-24 table of trisection3 keeps no strips, so no parent is
     # floored and each of the 14 children is computed once, at full width
@@ -807,9 +817,9 @@ def test_large_tables_build_no_strips(name, degree):
 
 
 class TestBatchedFlooredPass:
-    """The floored pass on all of a parent's cells at once, cell 1's slots
-    on top of the strips, against the floored children one multiply-add
-    per (parent term, expansion entry) gives."""
+    """The strip pass on all of a parent's cells at once, cell 1's slots on
+    top of the strips, against the floored children one multiply-add per
+    (parent term, expansion entry) gives."""
 
     @staticmethod
     def flagged(table, columns, low):
@@ -835,7 +845,7 @@ class TestBatchedFlooredPass:
         s = (2 * a).bit_length() - engine._COARSE_BITS
         low = [(j, v >> s) for j, v in items]
         assert [c for _, c in low] == [2**14, 2**15, -(2**15) - 1]
-        flagged = table.floored(low)
+        flagged = table.candidates(items)
         assert flagged == self.flagged(table, columns, low)
         assert flagged[:3] == [0, 1, 5]
         # the exact children of cells 1 and 2 are 0 in the z slot, so cells
@@ -870,7 +880,7 @@ class TestBatchedFlooredPass:
         for m, (rep, pin, _) in enumerate(table.cells):
             floored = sparse_child(table, columns, rep, pin, low)
             assert slots[m * size : (m + 1) * size] == [v + half for v in floored]
-        assert table.floored(low) == list(range(len(table.cells)))
+        assert table.candidates(items) == list(range(len(table.cells)))
         frontier = [(items, ())]
         assert engine._expand(frontier, table) == sparse_expand(frontier, table, columns)
 
@@ -884,11 +894,41 @@ class TestBatchedFlooredPass:
         x, y, z = (table.index[e] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         items = [(x, 2**31), (y, -(2**30)), (z, 2**31)]
         low = [(j, v >> 16) for j, v in items]
-        assert table.floored(low) == self.flagged(table, columns, low) == [4]
+        assert table.candidates(items) == self.flagged(table, columns, low) == [4]
         frontier = [(items, (7,))]
         result = engine._expand(frontier, table)
         assert result == sparse_expand(frontier, table, columns)
         assert result == ([], 4, (((y, -1),), (7, 5)))
+
+
+    def test_narrow_parent_takes_the_strip_pass_once_unfloored(self, packs_asked):
+        # a parent of at most _COARSE_BITS bits is summed on the strips as
+        # it is, so they flag exactly the cells whose child has a negative
+        # coefficient, and only those get an exact product
+        scheme = make_wds_scheme(4)
+        table = engine._Table(scheme, 2)
+        assert table.strips is not None
+        columns = substituted_columns(scheme, table)
+        rng = random.Random("narrow parents")
+        seen = {"pruned": 0, "exact": 0, "kept": 0, "negative": 0}
+        for _ in range(20):
+            items = random_parent(rng, len(table.exponents), 15)
+            assert max(abs(v) for _, v in items).bit_length() <= engine._COARSE_BITS
+            negative = self.flagged(table, columns, items)
+            assert table.candidates(items) == negative
+            packs_asked.clear()
+            frontier = [(items, ())]
+            children, pruned, stop = engine._expand(frontier, table)
+            assert (children, pruned, stop) == sparse_expand(frontier, table, columns)
+            w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
+            last = len(table.cells) if stop is None else stop[1][0]
+            exact = [(table.cells[m][0], w) for m in negative if m < last]
+            assert packs_asked == [("strips", table.floored_width)] + exact
+            seen["pruned"] += pruned
+            seen["exact"] += len(exact)
+            seen["kept"] += len(children)
+            seen["negative"] += stop is not None
+        assert all(seen.values()), seen
 
 
 class TestWitnessPoint:

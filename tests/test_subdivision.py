@@ -21,7 +21,10 @@ from formsign import (
     diameter_sq,
     format_scheme,
     load_scheme,
+    make_central3_scheme,
+    make_midpoint3_scheme,
     make_star3_scheme,
+    make_trisection3_scheme,
     make_wds_scheme,
     matrix_power,
     parse_scheme,
@@ -295,6 +298,13 @@ class TestSchemeConstruction:
     def test_len(self, trisection3):
         assert len(trisection3) == 9
 
+    # format_scheme writes the name on one "name:" line, and parse_scheme
+    # reads it back up to a '#', stripped
+    @pytest.mark.parametrize("name", ["mid#1", " spaced ", "", "two\nlines"])
+    def test_names_a_scheme_file_cannot_carry_rejected(self, wds2, name):
+        with pytest.raises(SchemeError, match="scheme name"):
+            SubdivisionScheme(name, 2, wds2.matrices)
+
 
 class TestValidation:
     def test_builtins_pass(self, wds2, wds3, midpoint3, trisection3, central3):
@@ -468,11 +478,24 @@ class TestConvergence:
             assert check_convergence(make_wds_scheme(n)).convergent
 
 
+# every built-in scheme builder, by the name of the scheme it builds
+BUILTINS = {
+    **{f"wds{n}": (lambda n=n: make_wds_scheme(n)) for n in (2, 3, 4, 5)},
+    "midpoint3": make_midpoint3_scheme,
+    "trisection3": make_trisection3_scheme,
+    "central3": make_central3_scheme,
+    "star3": lambda: make_star3_scheme(
+        barycenter(3), (F(1, 2), F(1, 2), 0), (0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2))
+    ),
+}
+
+
 class TestSchemeFiles:
-    def test_round_trip_builtins(self, wds3, midpoint3, trisection3, central3):
-        for scheme in (wds3, midpoint3, trisection3, central3):
+    def test_round_trip_builtins(self):
+        for name, build in BUILTINS.items():
+            scheme = build()
             parsed = parse_scheme(format_scheme(scheme))
-            assert parsed.name == scheme.name
+            assert parsed.name == scheme.name == name
             assert parsed.n == scheme.n
             assert parsed.matrices == scheme.matrices
 
