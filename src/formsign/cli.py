@@ -25,7 +25,6 @@ from .engine import Outcome, decide, run_report
 from .oracle import GridSpec, grid_classify
 from .parsing import VariableContext, format_form, parse_form
 from .subdivision import (
-    VOLUME_PROBLEM,
     SchemeError,
     SubdivisionScheme,
     check_convergence,
@@ -191,7 +190,7 @@ def _cmd_analyze_scheme(args) -> int:
         )
         for index, det in enumerate(validation.dets, start=1):
             print(f"matrix {index}: det {det}")
-        short = any(msg.startswith(VOLUME_PROBLEM) for msg in validation.problems)
+        short = validation.det_sum != 1
         print(f"sum |det|: {validation.det_sum}" + (" (expected 1)" if short else ""))
         print(f"valid: {'yes' if validation.ok else 'no'}")
         for msg in validation.failures():

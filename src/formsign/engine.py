@@ -45,20 +45,17 @@ bit is set exactly when the coefficient is nonnegative.  So "all
 coefficients >= 0" is one AND against the bias, and only kept or negative
 children are decoded slot by slot.
 
-Most children are pruned, so on a table of at most _BATCH_ENTRIES strip
-entries each level runs in two passes.  The first computes a child in
-every cell at once: the packs of one input column under every cell, cell 1
-on top, are joined into one strip at a width that holds any child of a
-parent of at most _COARSE_BITS bits, so the pass is one multiply-add per
-parent term.  A wider parent is first floored to that many bits (each v_j
-shifted right by the same s).  Table entries are nonnegative and
-v_j >= 2^s (v_j >> s), so a floored child with no negative coefficient
-proves the child nonnegative: it is counted as pruned and its full-width
-product is never formed.  A parent of at most _COARSE_BITS bits enters
-unfloored, and its strip sum is its children.  Only the cells whose
-segment shows a negative slot go on to the exact pass above.  A larger
-table keeps no strips and runs the exact pass alone.  Either way the
-children, their order and the counts are those of the exact pass alone.
+Most children are pruned, so a table of at most _BATCH_ENTRIES strip
+entries computes a parent's child in every cell at once (_Table.children):
+the packs of one input column under every cell, cell 1 on top, are joined
+into one strip at a width that holds any child of a parent of at most
+_COARSE_BITS bits, so the pass is one multiply-add per parent term, and the
+children of such a parent are read off its sum.  A wider parent is first
+floored to that many bits (each v_j shifted right by the same s).  Table
+entries are nonnegative and v_j >= 2^s (v_j >> s), so a floored child with
+no negative coefficient proves the child nonnegative, and only the other
+cells pay the full-width product above.  A larger table keeps no strips and
+computes every child at full width.  Either way each child is computed once.
 """
 
 from __future__ import annotations
@@ -67,9 +64,10 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
-from operator import itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import itemgetter, mul, or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .forms import (
     DimensionMismatchError,
@@ -167,16 +165,17 @@ class _Table:
     r-th from the top, and top(w) is the bias 2^(w-1) in every slot; both
     are built on first use of a width and live as long as the table.  Every
     entry is a nonnegative integer (scheme cells have nonnegative entries)
-    and maxc is the largest: no entry exceeds R^degree, R the largest row
-    sum of a representative, so packs at a width that holds R^degree find
-    it exactly, and they are kept like any other width's.
+    below 2^bits, bits the largest entry's bit length, and maxc = 2^bits - 1:
+    no entry exceeds R^degree, R the largest row sum of a representative,
+    so packs at a width that holds R^degree give bits, and they are kept
+    like any other width's.
 
     A table of at most _BATCH_ENTRIES strip entries also holds strips[j]:
     column pin[j] of every cell's representative packed at floored_width,
     the cells' slots concatenated in scheme order with cell 1 on top, so
     one multiply-add per parent term computes a child of the (floored)
-    parent in every cell at once (candidates).  Larger tables hold
-    strips = None, and every cell is a candidate.
+    parent in every cell at once (children).  Larger tables hold
+    strips = None.
     """
 
     __slots__ = (
@@ -212,23 +211,12 @@ class _Table:
         top_row = max(sum(row) for rows in self._reps.values() for row in rows)
         w = _slot_width(top_row**degree)
         k = w // 8
-        slots = [slice(i, i + k) for i in range(0, size * k, k)]
-        packs = [pack for rep in self._reps for pack in self.packs(rep, w)]
-        # the largest entry has as many bits as the longest slot of the OR
-        # of all packs, so only packs with that bit set in a slot can hold
-        # it; big-endian slots of equal length compare as their values
-        union = 0
-        for pack in packs:
-            union |= pack
+        # the largest entry has the bits of the largest slot of the OR of all
+        # packs; big-endian slots of equal length compare as their values
+        union = reduce(or_, (pack for rep in self._reps for pack in self.packs(rep, w)))
         raw = union.to_bytes(size * k, "big")
-        bits = int.from_bytes(max(map(raw.__getitem__, slots)), "big").bit_length()
-        high = int.from_bytes((1 << (bits - 1)).to_bytes(k, "big") * size, "big")
-        largest = max(
-            max(map(pack.to_bytes(size * k, "big").__getitem__, slots))
-            for pack in packs
-            if pack & high
-        )
-        self.maxc = int.from_bytes(largest, "big")
+        largest = max(raw[i : i + k] for i in range(0, size * k, k))
+        self.maxc = (1 << int.from_bytes(largest, "big").bit_length()) - 1
         self.strips = None
         if len(self.cells) * size**2 <= _BATCH_ENTRIES:
             # |low_j| <= 2^_COARSE_BITS for at most size terms, against
@@ -247,34 +235,54 @@ class _Table:
                 self.strips.append(int.from_bytes(strip, "big"))
             self._strips_top = _bias(wf, size * len(self.cells))
 
-    def candidates(self, items: Sequence) -> Sequence[int]:
-        """The cells, 0-based and in order, whose child of the parent with
-        (column, int) pairs `items` may have a negative coefficient: every
-        cell on a table without strips, else each whose child of the parent
-        floored to low_j = v_j >> s, s = max(0, bits - _COARSE_BITS), has one.
+    def children(self, items: Sequence) -> Iterator[tuple[int, list[int]]]:
+        """(m, out) for each cell m, 0-based and in order, whose child of the
+        parent with (column, int) pairs `items` has a negative coefficient,
+        out being its coefficients in `exponents` order.
 
-        y is the bias 2^(floored_width - 1) in every slot of every cell plus
-        one multiply-add per term; every biased slot lies in
-        [1, 2^floored_width) without borrowing from the next, so
-        z = (y & bias) ^ bias has a bit set exactly in each negative slot,
-        and each cell whose segment of z is nonzero is returned.
+        On a table with strips, y is the bias 2^(floored_width - 1) in every
+        slot of every cell plus one multiply-add per term of the parent
+        floored to v_j >> s, s = max(0, bits - _COARSE_BITS).  Every biased
+        slot lies in [1, 2^floored_width) without borrowing from the next,
+        so z = (y & bias) ^ bias is nonzero in the segment of each cell whose
+        floored child has a negative slot.  When s is 0 such a segment is
+        the child itself.  Otherwise the cell, like every cell of a table
+        without strips, takes the exact product at the parent's width w:
+        |out[r]| <= maxc * sum |v_j| < 2^(w-1), so every biased slot of x
+        lies in [1, 2^w) too.
         """
-        strips = self.strips
-        if strips is None:
-            return range(len(self.cells))
-        s = max(0, max(abs(v) for _, v in items).bit_length() - _COARSE_BITS)
-        y = top = self._strips_top
-        for j, v in items:
-            y += (v >> s) * strips[j]
-        z = (y & top) ^ top
-        cell_bits = len(self.exponents) * self.floored_width
-        last = len(self.cells) - 1
-        flagged = []
-        while z:
-            m = last - (z.bit_length() - 1) // cell_bits
-            flagged.append(m)
-            z &= (1 << (last - m) * cell_bits) - 1  # drop cell m's segment
-        return flagged
+        cells = self.cells
+        flagged = range(len(cells))
+        if self.strips is not None:
+            s = max(0, max(abs(v) for _, v in items).bit_length() - _COARSE_BITS)
+            y = top = self._strips_top
+            for j, v in items:
+                y += (v >> s) * self.strips[j]
+            z = (y & top) ^ top
+            seg = len(self.exponents) * self.floored_width  # one cell's bits
+            last = len(cells) - 1
+            flagged = []
+            while z:
+                m = last - (z.bit_length() - 1) // seg
+                flagged.append(m)
+                z &= (1 << (last - m) * seg) - 1  # drop cell m's segment
+            if not s:
+                mask, k = (1 << seg) - 1, self.floored_width // 8
+                for m in flagged:
+                    yield m, _slots(y >> (last - m) * seg & mask, k, cells[m][2])
+                return
+        w = 0
+        for m in flagged:
+            rep, pin, pout = cells[m]
+            if not w:  # the width is found on the first cell that needs it
+                w = _slot_width(self.maxc * sum(abs(v) for _, v in items))
+                top = self.top(w)
+            packs = self.packs(rep, w)
+            x = top
+            for j, v in items:
+                x += v * packs[pin[j]]
+            if x & top != top:
+                yield m, _slots(x, w // 8, pout)
 
     def packs(self, rep: int, w: int) -> list[int]:
         """Representative rep's columns packed into w-bit slots, built on
@@ -295,6 +303,14 @@ class _Table:
 def _bias(w: int, slots: int) -> int:
     """2^(w-1) in each of `slots` w-bit slots, w a multiple of 8."""
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "big") * slots, "big")
+
+
+def _slots(x: int, k: int, order: Sequence[int]) -> list[int]:
+    """x's k-byte slots, less the bias 2^(8k - 1) each, in `order`: r in
+    order reads the r-th slot from the top of len(order) slots."""
+    raw = x.to_bytes(len(order) * k, "big")
+    half = 1 << (8 * k - 1)
+    return [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in order]
 
 
 def _column_map(perm: tuple, maps: dict, index: dict) -> list:
@@ -500,45 +516,21 @@ def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tu
     """expand_level on (items, path) branches, where items lists a form's
     content-normalized coefficients as (table column, int) pairs; a child's
     items are a tuple, which keys the kept children."""
-    size = len(table.exponents)
-    cells = table.cells
     # kept child -> its path.  A repeat of a kept child would grow the same
     # subtree again; the first copy, and with it the first path, is kept
     first = {}
     pruned = 0
     for items, path in frontier:
-        w = 0
         done = 0  # cells before this one are settled
-        for m in table.candidates(items):
+        for m, out in table.children(items):
             pruned += m - done  # the cells between have no negative coefficient
             done = m + 1
-            rep, pin, pout = cells[m]
-            # child coefficient r is the sum over the parent's terms of v_j
-            # times one table entry, so |out[r]| <= maxc * sum |v_j| <
-            # 2^(w-1): biased by 2^(w-1), every slot holds out[r] + 2^(w-1)
-            # in [1, 2^w), carries nothing into the next slot, and has its
-            # top bit set exactly when out[r] >= 0.  The width is found on
-            # the first cell that needs it.
-            if not w:
-                w = _slot_width(table.maxc * sum(abs(v) for _, v in items))
-                k = w // 8
-                half = 1 << (w - 1)
-                top = table.top(w)
-            packs = table.packs(rep, w)
-            x = top
-            for j, v in items:
-                x += v * packs[pin[j]]
-            if x & top == top:
-                pruned += 1
-                continue
-            raw = x.to_bytes(size * k, "big")
-            out = [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in pout]
             g = gcd(*out)
             child = tuple([(r, v // g) for r, v in enumerate(out) if v])
             if sum(out) < 0:
                 return list(first.items()), pruned, (child, path + (m + 1,))
             first.setdefault(child, path + (m + 1,))
-        pruned += len(cells) - done
+        pruned += len(table.cells) - done
     return list(first.items()), pruned, None
 
 

@@ -33,6 +33,9 @@ MAX_DIGITS = 4300
 _CHUNK = 640
 # the text as_fraction reads: an optionally signed integer or p/q
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+# a run of ASCII digits, the text _read_int takes; str.isdigit() also
+# accepts digits int() refuses
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class DimensionMismatchError(ValueError):

@@ -32,10 +32,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .forms import Form, InhomogeneousError, _Keys, _mul, _read_int, _write_rational
+from .forms import (
+    _DIGITS,
+    Form,
+    InhomogeneousError,
+    _Keys,
+    _mul,
+    _read_int,
+    _write_rational,
+)
 
 MAX_EXPONENT = 2**16
 MAX_NESTING = 100  # each level costs the recursive descent up to 5 stack frames
@@ -51,7 +60,6 @@ _WORD_PRODUCTS_PER_PAIR = 256
 Value = tuple[dict, int]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 
 class FormSyntaxError(ValueError):
@@ -112,7 +120,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        m = _INT_RE.match(text, i)
+        m = _DIGITS.match(text, i)
         if m:
             try:
                 tokens.append(("NUM", _read_int(m.group()), i))
@@ -258,7 +266,8 @@ class _Parser:
             raise FormSyntaxError("expected a nonnegative integer exponent", at)
         if value > MAX_EXPONENT:
             raise FormSyntaxError(
-                f"exponent {value} exceeds the maximum {MAX_EXPONENT}", at
+                f"exponent {_write_rational(value)} exceeds the maximum {MAX_EXPONENT}",
+                at,
             )
         size, growth = _size(base), _growth(base)
         for j, pairs in enumerate(_power_step_pairs(base[0], value, self.keys)):
@@ -344,7 +353,9 @@ def _power_step_pairs(p: dict, e: int, keys: _Keys) -> Iterator[int]:
     bounds are exact.
     """
     k = len(p)
-    if not k:
+    if k < 2:
+        # none for zero; for one term C(j, 0) = 1, and p^j has a monomial
+        yield from repeat(1, e * k)
         return
     n = keys.n
     degrees = [keys.degree(key) for key in p]

@@ -15,7 +15,6 @@ its branches from.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,6 +22,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import (
+    _DIGITS,
     DimensionMismatchError,
     RationalLike,
     _cleared,
@@ -407,10 +407,6 @@ class SchemeValidation:
         return list(self.problems)
 
 
-# how validate_scheme's message for a family whose volumes miss 1 begins
-VOLUME_PROBLEM = "cell volumes do not tile the simplex"
-
-
 def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     """Check every matrix (columns on the simplex, positive volume) and that
     the cell volumes sum to the whole simplex (sum of |det| equal to 1).
@@ -439,7 +435,8 @@ def validate_scheme(scheme: SubdivisionScheme) -> SchemeValidation:
     total = sum(map(abs, dets), Fraction(0))
     if total != 1:
         problems.append(
-            f"{VOLUME_PROBLEM}: sum |det| = {_write_rational(total)}, expected 1"
+            "cell volumes do not tile the simplex: "
+            f"sum |det| = {_write_rational(total)}, expected 1"
         )
     if not problems:
         problem = _tiling_problem(scheme.matrices, dets)
@@ -594,9 +591,6 @@ def check_convergence(scheme: SubdivisionScheme) -> ConvergenceReport:
 # an entry or in the n: field, has at most MAX_DIGITS digits.  Column j of
 # each matrix is vertex j of the subsimplex.
 
-_COUNT = re.compile(r"[0-9]+")  # str.isdigit() also accepts digits int() refuses
-
-
 def format_scheme(scheme: SubdivisionScheme) -> str:
     """Render a scheme in the scheme file format (round-trips via parse_scheme)."""
     lines = [
@@ -636,7 +630,7 @@ def parse_scheme(text: str) -> SubdivisionScheme:
                 fail(lineno, "duplicate n field")
             body = line[len("n:"):].strip()
             try:
-                n = _read_int(body) if _COUNT.fullmatch(body) else None
+                n = _read_int(body) if _DIGITS.fullmatch(body) else None
             except ValueError as exc:
                 fail(lineno, str(exc))
             if n is None or n < 2:

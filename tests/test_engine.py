@@ -472,9 +472,10 @@ def test_packs_match_form_substitute(name):
     for degree in range(4):
         table = engine._Table(scheme, degree)
         columns = substituted_columns(scheme, table)
-        entries = [c for cols in columns.values() for col in cols for _, c in col]
-        assert table.maxc == max(entries)
-        # the widths the table built its packs at while finding maxc
+        largest = max(c for cols in columns.values() for col in cols for _, c in col)
+        assert table.maxc >= largest
+        assert table.maxc.bit_length() == largest.bit_length()
+        # the widths the table built its packs at while bounding the entries
         for w in widths(table):
             assert_packs_decode_to(table, columns, w)
 
@@ -482,8 +483,9 @@ def test_packs_match_form_substitute(name):
 def test_wds3_degree_24_packs_at_two_widths(wds3):
     table = engine._Table(wds3, 24)
     columns = substituted_columns(wds3, table)
-    assert table.maxc == max(c for col in columns[0] for _, c in col)
-    assert table.maxc.bit_length() == 79
+    largest = max(c for col in columns[0] for _, c in col)
+    assert table.maxc >= largest
+    assert table.maxc.bit_length() == largest.bit_length() == 79
     # 128 bits is the least width holding every entry, and the width of the
     # maxc walk, since 11^24 < 2^127
     assert widths(table) == [128]
@@ -560,21 +562,21 @@ def widths(table):
 def packs_asked(monkeypatch):
     """Every (rep, width) that _Table.packs is asked for, in order, with
     ("strips", floored_width) for each strip pass a table runs in
-    _Table.candidates."""
+    _Table.children."""
     asked = []
-    packs, candidates = engine._Table.packs, engine._Table.candidates
+    packs, children = engine._Table.packs, engine._Table.children
 
     def record(table, rep, w):
         asked.append((rep, w))
         return packs(table, rep, w)
 
-    def record_candidates(table, items):
+    def record_children(table, items):
         if table.strips is not None:
             asked.append(("strips", table.floored_width))
-        return candidates(table, items)
+        return children(table, items)
 
     monkeypatch.setattr(engine._Table, "packs", record)
-    monkeypatch.setattr(engine._Table, "candidates", record_candidates)
+    monkeypatch.setattr(engine._Table, "children", record_children)
     return asked
 
 
@@ -586,8 +588,9 @@ def two_pass_model(frontier, table, columns):
 
     A table of at most engine._BATCH_ENTRIES cells x size^2 entries runs
     every parent through its strips, floored to engine._COARSE_BITS bits
-    if it is wider, so it asks for no packs until the exact pass; a larger
-    one has no strips and runs the exact pass alone."""
+    if it is wider, so it asks for no packs until the exact pass, and for
+    none on a parent it need not floor, whose children are its strip sum; a
+    larger one has no strips and runs the exact pass alone."""
     size = len(table.exponents)
     batched = len(table.cells) * size**2 <= engine._BATCH_ENTRIES
     assert (table.strips is not None) == batched
@@ -609,7 +612,8 @@ def two_pass_model(frontier, table, columns):
                 if min(floored) >= 0:
                     pruned["floored"] += 1
                     continue
-            asked.append((rep, w))
+            if s or not batched:
+                asked.append((rep, w))
             out = sparse_child(table, columns, rep, pin, items)
             if min(out) >= 0:
                 # a child the strips flag is one they floored
@@ -712,12 +716,12 @@ class TestSlotEdges:
     ):
         # 2^15 has 16 bits: the strips' 24-bit slots, 1 bit of entry, 2 of
         # term count and 16 + 1 of multiplier, hold the child itself, whose
-        # y slot is -1; then the exact pass, asked once for its packs
+        # y slot is -1, and no exact pass runs
         narrow = ((0, 2**15), (1, -1))
-        assert table.candidates(narrow) == [0]
+        assert list(table.children(narrow)) == [(0, [2**15, -1])]
         packs_asked.clear()
         assert engine._expand([(narrow, ())], table) == ([(narrow, (1,))], 0, None)
-        assert packs_asked == [("strips", 24), (0, 32)]
+        assert packs_asked == [("strips", 24)]
         # 2^16 has 17 bits: the floored child 2x - y fails on the strips,
         # then the exact one
         packs_asked.clear()
@@ -753,17 +757,14 @@ def test_all_positive_wide_frontier_never_builds_its_exact_width(wds3):
 
 @pytest.fixture
 def no_strip_pass(monkeypatch):
-    """_Table.candidates checked to name every cell, for runs whose tables
-    keep no strips."""
-    candidates = engine._Table.candidates
+    """_Table.children checked to run only on tables that keep no strips."""
+    children = engine._Table.children
 
-    def every_cell(table, items):
+    def strip_free(table, items):
         assert table.strips is None, "a table with strips"
-        cells = candidates(table, items)
-        assert cells == range(len(table.cells))
-        return cells
+        return children(table, items)
 
-    monkeypatch.setattr(engine._Table, "candidates", every_cell)
+    monkeypatch.setattr(engine._Table, "children", strip_free)
 
 
 def test_strip_free_table_runs_the_exact_pass_alone(packs_asked, no_strip_pass):
@@ -829,7 +830,25 @@ class TestBatchedFlooredPass:
             if min(sparse_child(table, columns, rep, pin, low)) < 0
         ]
 
-    def test_floored_minus_one_in_a_cells_last_slot(self, trisection3):
+    @staticmethod
+    def negative_children(table, columns, items):
+        """(m, out) per cell whose child has a negative coefficient, out in
+        table.exponents order: what table.children(items) yields."""
+        found = []
+        for m, (rep, pin, pout) in enumerate(table.cells):
+            child = sparse_child(table, columns, rep, pin, items)
+            if min(child) < 0:
+                found.append((m, [child[r] for r in pout]))
+        return found
+
+    @staticmethod
+    def exact_products(table, items, cells):
+        """The packs table.children(items) asks for, run to the end, when its
+        strips flag `cells` of a parent it floors."""
+        w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
+        return [("strips", table.floored_width)] + [(table.cells[m][0], w) for m in cells]
+
+    def test_floored_minus_one_in_a_cells_last_slot(self, trisection3, packs_asked):
         # F = a x + b y + c z at degree 1: cell m's child holds F at its
         # vertices (cleared by 3), and its last slot, z's, F at its third
         # vertex.  Cells 1 and 2 end on (2, 0, 1), where F is 2a + c = 0
@@ -845,18 +864,22 @@ class TestBatchedFlooredPass:
         s = (2 * a).bit_length() - engine._COARSE_BITS
         low = [(j, v >> s) for j, v in items]
         assert [c for _, c in low] == [2**14, 2**15, -(2**15) - 1]
-        flagged = table.candidates(items)
-        assert flagged == self.flagged(table, columns, low)
+        flagged = self.flagged(table, columns, low)
         assert flagged[:3] == [0, 1, 5]
+        packs_asked.clear()
+        children = list(table.children(items))
+        assert packs_asked == self.exact_products(table, items, flagged)
         # the exact children of cells 1 and 2 are 0 in the z slot, so cells
         # 1-5 are pruned, and cell 6 is negative
+        assert children == self.negative_children(table, columns, items)
+        assert children[0][0] == 5
         frontier = [(items, ())]
         result = engine._expand(frontier, table)
         assert result == sparse_expand(frontier, table, columns)
         assert result[:2] == ([], 5) and result[2][1] == (6,)
 
     @pytest.mark.parametrize("name, degree", [("wds4", 1), ("trisection3", 2)])
-    def test_every_floored_multiplier_at_its_bound(self, name, degree):
+    def test_every_floored_multiplier_at_its_bound(self, name, degree, packs_asked):
         # bits(maxc) + bits(size) + _COARSE_BITS + 1 is a multiple of 8 on
         # these tables, so floored_width leaves no slack; -(2^40 - 1) floors
         # to -2^16 at a 24-bit shift, and all of them at once give the
@@ -880,11 +903,15 @@ class TestBatchedFlooredPass:
         for m, (rep, pin, _) in enumerate(table.cells):
             floored = sparse_child(table, columns, rep, pin, low)
             assert slots[m * size : (m + 1) * size] == [v + half for v in floored]
-        assert table.candidates(items) == list(range(len(table.cells)))
+        # every cell is flagged and takes an exact product
+        packs_asked.clear()
+        children = list(table.children(items))
+        assert packs_asked == self.exact_products(table, items, range(len(table.cells)))
+        assert children == self.negative_children(table, columns, items)
         frontier = [(items, ())]
         assert engine._expand(frontier, table) == sparse_expand(frontier, table, columns)
 
-    def test_negative_child_between_pruned_cells(self, trisection3):
+    def test_negative_child_between_pruned_cells(self, trisection3, packs_asked):
         # F = 2x - y + 2z is 0 at (1, 2, 0) and (0, 2, 1) and -3 at
         # (0, 3, 0), cell 5's other vertex, and positive at every other
         # vertex: cells 1-4 and 6-9 are pruned by the floored pass, and
@@ -894,39 +921,42 @@ class TestBatchedFlooredPass:
         x, y, z = (table.index[e] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         items = [(x, 2**31), (y, -(2**30)), (z, 2**31)]
         low = [(j, v >> 16) for j, v in items]
-        assert table.candidates(items) == self.flagged(table, columns, low) == [4]
+        assert self.flagged(table, columns, low) == [4]
+        packs_asked.clear()
+        children = list(table.children(items))
+        assert packs_asked == self.exact_products(table, items, [4])
+        assert children == self.negative_children(table, columns, items)
         frontier = [(items, (7,))]
         result = engine._expand(frontier, table)
         assert result == sparse_expand(frontier, table, columns)
         assert result == ([], 4, (((y, -1),), (7, 5)))
 
-
     def test_narrow_parent_takes_the_strip_pass_once_unfloored(self, packs_asked):
         # a parent of at most _COARSE_BITS bits is summed on the strips as
-        # it is, so they flag exactly the cells whose child has a negative
-        # coefficient, and only those get an exact product
+        # it is, so they hold its children: the strips flag exactly the
+        # cells whose child has a negative coefficient, those children are
+        # read off the strip sum, and no cell gets a full-width product
         scheme = make_wds_scheme(4)
         table = engine._Table(scheme, 2)
         assert table.strips is not None
         columns = substituted_columns(scheme, table)
         rng = random.Random("narrow parents")
-        seen = {"pruned": 0, "exact": 0, "kept": 0, "negative": 0}
+        seen = {"pruned": 0, "flagged": 0, "kept": 0, "negative": 0}
         for _ in range(20):
             items = random_parent(rng, len(table.exponents), 15)
             assert max(abs(v) for _, v in items).bit_length() <= engine._COARSE_BITS
-            negative = self.flagged(table, columns, items)
-            assert table.candidates(items) == negative
+            packs_asked.clear()
+            children = list(table.children(items))
+            assert children == self.negative_children(table, columns, items)
+            assert packs_asked == [("strips", table.floored_width)]
             packs_asked.clear()
             frontier = [(items, ())]
-            children, pruned, stop = engine._expand(frontier, table)
-            assert (children, pruned, stop) == sparse_expand(frontier, table, columns)
-            w = engine._slot_width(table.maxc * sum(abs(v) for _, v in items))
-            last = len(table.cells) if stop is None else stop[1][0]
-            exact = [(table.cells[m][0], w) for m in negative if m < last]
-            assert packs_asked == [("strips", table.floored_width)] + exact
+            kept, pruned, stop = engine._expand(frontier, table)
+            assert (kept, pruned, stop) == sparse_expand(frontier, table, columns)
+            assert packs_asked == [("strips", table.floored_width)]
             seen["pruned"] += pruned
-            seen["exact"] += len(exact)
-            seen["kept"] += len(children)
+            seen["flagged"] += len(children)
+            seen["kept"] += len(kept)
             seen["negative"] += stop is not None
         assert all(seen.values()), seen
 

@@ -28,6 +28,7 @@ from formsign import (
 )
 from formsign.forms import _Keys, _write_rational
 from formsign.parsing import (
+    _Parser,
     _degree_bound,
     _growth,
     _power,
@@ -178,6 +179,15 @@ class TestParseErrors:
         with pytest.raises(FormSyntaxError, match="exceeds the maximum 65536"):
             parse_form("x^65537", "x,y")
 
+    def test_long_exponent_at_the_lowest_digit_limit(self):
+        # a 700-digit exponent, past Python's lowest int-to-str limit, is
+        # still named in the message
+        with lowest_digit_limit():
+            with pytest.raises(FormSyntaxError, match="exceeds the maximum 65536") as exc:
+                parse_form("x^" + "9" * 700, "x")
+        assert exc.value.position == 2
+        assert f"exponent {'9' * 700} exceeds" in str(exc.value)
+
     @pytest.mark.parametrize(
         "text, position",
         [("(x+y+z)^200", 7), ("(x+y+z)^60*(x+y+z)^60", 10)],
@@ -191,18 +201,29 @@ class TestParseErrors:
         "text, position",
         [
             ("(2^65536)^1000*x", 9),  # one term, a 64-million-bit coefficient
+            ("(((x^65536)^65536)^65536)^65536", 25),  # one term, a pair a step
             ("(2^1000)^1500*x", 8),
             # 100 000-bit factors, each cheap; their products grow in size
             ("*".join(["(2^1000)^100"] * 16) + "*x", 181),
             # 5 151 terms of 14 450 bits brought over a 4 300-digit denominator
             ("(x+y+z)^100*" + "9" * MAX_DIGITS + " + 1/" + "9" * MAX_DIGITS + "*x^100", 4313),
         ],
-        ids=["power-of-power", "power", "product-chain", "rescaled-sum"],
+        ids=["power-of-power", "power-tower", "power", "product-chain", "rescaled-sum"],
     )
     def test_large_coefficients_count_against_the_work_limit(self, text, position):
         with pytest.raises(FormSyntaxError, match="more than 1000000 pairs") as exc:
             parse_form(text, VARS3)
         assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, pairs", [("x^65536 - y^65536", 590_336), ("((x^65536)^65536)^65536", 885_504)]
+    )
+    def test_one_term_powers_charge_one_weighted_pair_a_step(self, text, pairs):
+        # step j of a one-term power multiplies one pair of terms, weighted
+        # by the bits of the j-th power's coefficient
+        parser = _Parser(text, VariableContext.of(VARS3))
+        parser.parse()
+        assert parser.pairs == pairs
 
     def test_a_power_of_zero_keeps_no_denominator(self):
         # a zero base charges no term pair, so raising its 4 300-digit
