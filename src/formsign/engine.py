@@ -11,9 +11,16 @@ scheme's matrices:
   - a child whose coefficient sum is negative is negative at its cell's
     barycenter, which is an explicit interior counterexample: the run stops
     and reports the mapped barycenter as witness;
-  - anything else survives to the next level, once: a child equal to one
-    already kept on this level (the same content-normalized coefficients)
-    is dropped, since identical forms have identical subtrees.
+  - a child equal to one already met on this level (the same
+    content-normalized coefficients) is dropped, since identical forms have
+    identical subtrees;
+  - a child G is pruned by degree elevation when S^K * G has no negative
+    coefficient, S = y_1 + ... + y_n and K = _POLYA_K: S > 0 on the cell,
+    so G >= 0 there.  This is Polya's certificate of positivity, which
+    some K gives for every G > 0 on its cell (Polya 1928); Powers and
+    Reznick bound that K by G's relative minimum (J. Pure Appl. Algebra
+    164, 2001), so the test settles small deep cells;
+  - anything else survives to the next level.
 
 The frontier is thus a set of forms, each under the first path that reached
 it in level order, and the first negative child in level order always lies
@@ -56,6 +63,17 @@ entries are nonnegative and v_j >= 2^s (v_j >> s), so a floored child with
 no negative coefficient proves the child nonnegative, and only the other
 cells pay the full-width product above.  A larger table keeps no strips and
 computes every child at full width.  Either way each child is computed once.
+
+Degree elevation runs on the children that survive the sign tests and the
+dedup, only on a table with strips, at degree 2 or more, and only where its
+pack set, size(d) x size(d + K) entries, is no larger than _BATCH_ENTRIES
+(_Elevation, one per (n, degree), shared by the tables that hold it).  A
+child is floored to _COARSE_BITS bits as a strip parent is, and S^K times it
+is one multiply-add per child term on the packs of S^K * y^alpha, then one
+AND against the bias, as in the strip pass.  So a PSD leaf stays checkable:
+multiply it out by S^K.  The strip-free tables are the big ones, such as the
+degree-24 ones, where a fixed K narrows the gap between the Bernstein
+coefficients and the form by a factor of only about d / (d + K).
 """
 
 from __future__ import annotations
@@ -65,8 +83,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
-from operator import itemgetter, mul, or_
+from math import comb, factorial, gcd
+from operator import add, itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .forms import (
@@ -101,6 +119,12 @@ _BATCH_ENTRIES = 2**17
 # maxc's for the entries, plus a sign
 _COARSE_BITS = 16
 
+# K of the degree-elevation prune.  A larger K settles more cells but costs
+# size(d + K) slots per test: on the deep benchmark forms K = 4 left a third
+# more children than K = 8 and took 13 % more CPU, and K = 12 took the same
+# CPU as K = 8 but 2.4 times as long to build its pack sets
+_POLYA_K = 8
+
 
 class Outcome(Enum):
     PSD = "PSD"
@@ -118,10 +142,12 @@ class Branch:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Counts of distinct branches: a child repeating a kept child of the
-    same level is dropped by expand_level and counted nowhere."""
+    """Counts of distinct branches: a child repeating a kept or an
+    elevation-pruned child of the same level is dropped by expand_level and
+    counted nowhere."""
 
     branches_expanded: int  # child forms materialized (pruned and negative included)
+    # children with no negative coefficient, and those pruned by degree elevation
     branches_pruned_positive: int
     peak_frontier_size: int
 
@@ -138,7 +164,7 @@ class Verdict:
 
 class LevelResult(NamedTuple):
     children: list[Branch]
-    pruned: int
+    pruned: int  # children with no negative coefficient, or pruned by degree elevation
     negative: Branch | None
 
 
@@ -175,12 +201,14 @@ class _Table:
     the cells' slots concatenated in scheme order with cell 1 on top, so
     one multiply-add per parent term computes a child of the (floored)
     parent in every cell at once (children).  Larger tables hold
-    strips = None.
+    strips = None.  A table with strips of degree 2 or more also holds the
+    degree-elevation pack set of its (n, degree) where that has at most
+    _BATCH_ENTRIES entries (_Elevation), and elevation = None otherwise.
     """
 
     __slots__ = (
         "exponents", "index", "cells", "maxc", "floored_width", "strips",
-        "_reps", "_packs", "_tops", "_strips_top",
+        "elevation", "_reps", "_packs", "_tops", "_strips_top",
     )
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
@@ -217,7 +245,7 @@ class _Table:
         raw = union.to_bytes(size * k, "big")
         largest = max(raw[i : i + k] for i in range(0, size * k, k))
         self.maxc = (1 << int.from_bytes(largest, "big").bit_length()) - 1
-        self.strips = None
+        self.strips = self.elevation = None
         if len(self.cells) * size**2 <= _BATCH_ENTRIES:
             # |low_j| <= 2^_COARSE_BITS for at most size terms, against
             # entries of at most maxc: every strip child is below
@@ -234,6 +262,11 @@ class _Table:
                 strip = b"".join(columns[rep][pin[j]] for rep, pin, _ in self.cells)
                 self.strips.append(int.from_bytes(strip, "big"))
             self._strips_top = _bias(wf, size * len(self.cells))
+            # below degree 2 every coefficient is at a vertex, and S^K * G
+            # keeps G's vertex coefficients
+            high = comb(degree + _POLYA_K + n - 1, n - 1)
+            if degree >= 2 and size * high <= _BATCH_ENTRIES:
+                self.elevation = _elevation_for(n, degree, exps)
 
     def children(self, items: Sequence) -> Iterator[tuple[int, list[int]]]:
         """(m, out) for each cell m, 0-based and in order, whose child of the
@@ -300,6 +333,135 @@ class _Table:
         return top
 
 
+class _Elevation:
+    """Degree elevation by K = _POLYA_K for the degree-d forms in n
+    variables, d = `degree`: S^K * y^alpha_j, S = y_1 + ... + y_n, for each
+    degree-d monomial alpha_j in descending order (a table's `exponents`),
+    packed into w-bit slots, one per monomial of degree d + K.  Every entry
+    is a multinomial coefficient of S^K, so nonnegative and below 2^bits,
+    bits the bit length of the largest, and w = bits + size(d)'s bits +
+    _COARSE_BITS + 1, rounded up to a byte, holds S^K * G in every slot for
+    any G of at most _COARSE_BITS bits.
+
+    The slots come in parts, each with its bias and (column, pack) pairs.
+    First one part per facet y_i = 0: the coefficients of S^K * G with a
+    zero i-th exponent are those of S'^K * G', S' and G' being S and G at
+    y_i = 0, so they come from the columns with a zero i-th exponent and
+    the one elevation pack set of n - 1 variables, which every facet
+    shares.  Then the interior, the monomials with no zero exponent, which
+    every column reaches.  The parts cover every monomial, and a lower face
+    lies in several facets.
+    """
+
+    __slots__ = ("parts", "vertices", "__weakref__")
+
+    def __init__(self, n: int, degree: int, exponents: tuple):
+        # the largest multinomial coefficient of S^K is at the most even split
+        q, r = divmod(_POLYA_K, n)
+        bits = _multinomial([q + 1] * r + [q] * (n - r)).bit_length()
+        w = -(-(bits + len(exponents).bit_length() + _COARSE_BITS + 1) // 8) * 8
+        high = degree + _POLYA_K
+        face = tuple(_compositions(degree, n - 1))[::-1]
+        shared = dict(zip(face, _elevated(face, w, False)))
+        top = _bias(w, comb(high + n - 2, n - 2))
+        columns = list(enumerate(exponents))
+        self.parts = [
+            (top, [(j, shared[e[:i] + e[i + 1 :]]) for j, e in columns if not e[i]])
+            for i in range(n)
+        ]
+        if high >= n:  # the interior monomials, y_1 ... y_n times degree d + K - n
+            inner = comb(high - 1, n - 1)
+            packs = _elevated(exponents, w, True)
+            self.parts.append((_bias(w, inner), list(enumerate(packs))))
+        # the columns of y_i^d, whose coefficients are those of y_i^(d + K)
+        # in S^K * G
+        self.vertices = [j for j, e in enumerate(exponents) if degree in e]
+
+    def proves(self, out: list[int], g: int) -> bool:
+        """Whether S^K * G has no negative coefficient, G = out / g a child
+        in columns order, after flooring it to G_j >> s, that is
+        out_j // (g * 2^s), s = max(0, bits - _COARSE_BITS) for G's largest
+        |coefficient|.  Entries are nonnegative, so a floored elevation with
+        no negative slot proves S^K * G >= 0, and with it G >= 0 on its cell,
+        since S > 0 there.
+
+        A negative vertex coefficient of G is one of S^K * G, and it is read
+        off `out` first.  Then each part of the slots, the facets first, on
+        which almost every failing child fails, is its bias plus one
+        multiply-add per term, which every slot holds in [1, 2^w) as the
+        strips do: the floored elevation has no negative slot in the part
+        when every sign bit is set.
+        """
+        if min(map(out.__getitem__, self.vertices)) < 0:
+            return False
+        q = g << max(0, (max(max(out), -min(out)) // g).bit_length() - _COARSE_BITS)
+        for top, terms in self.parts:
+            y = top
+            for j, pack in terms:
+                if out[j]:
+                    y += out[j] // q * pack
+            if y & top != top:
+                return False
+        return True
+
+
+# elevation pack sets live as long as a table holds them: (n, degree) -> _Elevation
+_ELEVATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _elevation_for(n: int, degree: int, exponents: tuple) -> _Elevation:
+    elevation = _ELEVATIONS.get((n, degree))
+    if elevation is None:
+        elevation = _ELEVATIONS[(n, degree)] = _Elevation(n, degree, exponents)
+    return elevation
+
+
+def _multinomial(b: Sequence[int]) -> int:
+    """The coefficient of y^b in S^|b|."""
+    return factorial(sum(b)) // reduce(mul, map(factorial, b), 1)
+
+
+def _elevated(alphas: Sequence, w: int, interior: bool) -> list[int]:
+    """S^K * y^alpha for each alpha of `alphas`, the degree-d monomials in n
+    variables in descending order, K = _POLYA_K, packed into w-bit slots
+    over the degree-(d + K) monomials in descending order, or over those
+    with no zero exponent when `interior` is set: y_1 ... y_n times each
+    monomial of degree d + K - n, in the same order.
+
+    S^K is one form laid out in _box's degree-(d + K) box, and S^K * y^alpha
+    is that form with its slots moved by alpha's box slot: a shift of the
+    dense int, or a new key per dict entry.  A dict holds only the entries
+    its part keeps: in the interior, S^K's y^beta with beta_i >= 1 wherever
+    alpha_i = 0 (none when alpha has more than K zero exponents).
+    """
+    n = len(alphas[0])
+    high = sum(alphas[0]) + _POLYA_K
+    if interior:
+        monomials = [tuple(v + 1 for v in e) for e in _compositions(high - n, n)][::-1]
+    else:
+        monomials = tuple(_compositions(high, n))[::-1]
+    unit, dense, pack = _box(n, high, monomials, w)
+
+    def image(betas: Iterable) -> dict:
+        """S^K's terms y^beta: box slot -> coefficient."""
+        return {sum(map(mul, b, unit)): _multinomial(b) for b in betas}
+
+    moves = [sum(map(mul, a, unit)) for a in alphas]
+    if dense:
+        x = sum(c << w * o for o, c in image(_compositions(_POLYA_K, n)).items())
+        return [pack(x << w * u) for u in moves]
+    if not interior:
+        power = image(_compositions(_POLYA_K, n)).items()
+        return [pack({u + o: c for o, c in power}) for u in moves]
+    packs = []
+    for a, u in zip(alphas, moves):
+        lift = [int(not v) for v in a]
+        rest = _compositions(_POLYA_K - sum(lift), n)
+        betas = (tuple(map(add, lift, b)) for b in rest)
+        packs.append(pack({u + o: c for o, c in image(betas).items()}))
+    return packs
+
+
 def _bias(w: int, slots: int) -> int:
     """2^(w-1) in each of `slots` w-bit slots, w a multiple of 8."""
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "big") * slots, "big")
@@ -345,28 +507,74 @@ def _slot_width(bound: int) -> int:
     return w
 
 
+def _box(
+    n: int, degree: int, exponents: Sequence, w: int
+) -> tuple[list[int], bool, Callable]:
+    """(unit, dense, pack) for `exponents`, some or all of the degree-d
+    monomials in n variables, d = `degree`, in descending order, packed
+    into w-bit slots.
+
+    Monomials are numbered in a box: y^beta has slot
+    sum_j beta_j unit[j], unit[j] = (d+1)^(n-2-j) below the last variable
+    and 0 for it, the last exponent being implied by the degree, so
+    multiplying a monomial by y_j adds unit[j] to its slot.  The box has
+    (d+1)^(n-1) slots, up to (n-1)! times the monomial count and far more
+    for many variables at a low degree (3^19 against 210 at n = 20,
+    d = 2).  While it has at most 32 slots per degree-d monomial a form is
+    dense: one int with a w-bit field per box slot, and pack(x) compacts it
+    at once, its big-endian bytes holding each run of listed monomials
+    with fixed beta_0 .. beta_{n-3} and beta_{n-2} descending as one
+    contiguous range, and the runs joined in order being the pack.  Past
+    that, where a Python-level dict update costs less than an int's passes
+    over the empty fields, a form is a dict from box slot to coefficient
+    and holds only its own monomials.  Either way pack(x) is x's
+    coefficients of `exponents`, each below 2^w, in w-bit slots, the slot
+    of `exponents[r]` the r-th from the top.
+    """
+    size = len(exponents)
+    unit = [(degree + 1) ** (n - 2 - j) for j in range(n - 1)] + [0]
+    offsets = [sum(map(mul, e, unit)) for e in exponents]  # strictly descending
+    span = degree * unit[0] + 1  # y_1^d's slot is the top one
+    k = w // 8
+    if span <= 32 * comb(degree + n - 1, n - 1):
+        runs = []  # byte ranges of the big-endian box, in exponents order
+        start = 0
+        for s in range(1, size + 1):
+            if s == size or offsets[s] != offsets[s - 1] - 1:
+                hi, lo = offsets[start], offsets[s - 1]
+                runs.append(slice((span - 1 - hi) * k, (span - lo) * k))
+                start = s
+
+        def pack(x: int) -> int:
+            raw = x.to_bytes(span * k, "big")
+            return int.from_bytes(b"".join(map(raw.__getitem__, runs)), "big")
+
+        return unit, True, pack
+    at = {o: j for j, o in enumerate(offsets)}
+
+    def pack_dict(x: dict) -> int:
+        raw = bytearray(size * k)
+        for o, v in x.items():
+            r = at.get(o)
+            if r is not None:
+                raw[r * k : r * k + k] = v.to_bytes(k, "big")
+        return int.from_bytes(raw, "big")
+
+    return unit, False, pack_dict
+
+
 def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
     """The expansion of each monomial `exponents[j]` under the integer cell
     `rows`, packed into w-bit slots, the slot of `exponents[r]` the r-th from
     the top; every entry must be below 2^w.
 
-    Monomials are numbered in a box: y^beta has slot
-    sum_{j < n-1} beta_j (d+1)^(n-2-j), the last variable being implied by
-    the degree d, so multiplying a monomial by y_j adds a constant to its
-    slot.  While the box has at most 32 slots per monomial of degree d, a
-    form on the way is one int with a w-bit field per box slot, and
-    multiplying it by the image of x_i costs one shifted multiply-add per
-    nonzero entry of row i.  Entries are nonnegative, and each is at most
-    an entry of every expansion that extends its monomial (every row has a
-    positive entry), so no field carries into the next.  A degree-d image
-    is compacted at once: its big-endian bytes hold each run of monomials
-    with fixed beta_0 .. beta_{n-3} and beta_{n-2} descending as one
-    contiguous range, and the runs joined in order are the pack.  The box
-    has (d+1)^(n-1) slots, up to (n-1)! times the monomial count and far
-    more for many variables at a low degree (3^19 against 210 at n = 20,
-    d = 2).  Past 32 slots per monomial, where a Python-level dict update
-    costs less than the int's passes over the empty fields, a form is a
-    dict from box slot to coefficient and holds only its own monomials.
+    A form on the way is laid out in _box's box, so multiplying it by the
+    image of x_i costs one shifted multiply-add per nonzero entry of row i
+    on a dense form, and one dict update per (term, entry) on a sparse one.
+    Entries are nonnegative, and each is at most an entry of every
+    expansion that extends its monomial (every row has a positive entry),
+    so no field carries into the next, and a degree-d image is compacted at
+    once.
 
     The walk goes depth first over the index sequences i_1 <= ... <= i_d,
     one per monomial x_{i_1} ... x_{i_d}, and keeps only the images along
@@ -375,21 +583,10 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
     """
     n = len(rows)
     degree = sum(exponents[0])
-    size = len(exponents)
-    unit = [(degree + 1) ** (n - 2 - j) for j in range(n - 1)] + [0]
-    offsets = [sum(map(mul, e, unit)) for e in exponents]  # strictly descending
-    at = {o: j for j, o in enumerate(offsets)}
-    span = offsets[0] + 1
-    k = w // 8
+    unit, dense, pack = _box(n, degree, exponents, w)
+    at = {sum(map(mul, e, unit)): j for j, e in enumerate(exponents)}
     terms = [[(c, u) for c, u in zip(row, unit) if c] for row in rows]
-    if span <= 32 * size:
-        runs = []  # byte ranges of the big-endian box, in exponents order
-        start = 0
-        for s in range(1, size + 1):
-            if s == size or offsets[s] != offsets[s - 1] - 1:
-                hi, lo = offsets[start], offsets[s - 1]
-                runs.append(slice((span - 1 - hi) * k, (span - lo) * k))
-                start = s
+    if dense:
         shifts = [[(c, w * u) for c, u in row] for row in terms]
 
         def times(x: int, i: int) -> int:
@@ -397,10 +594,6 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
             for c, shift in shifts[i]:
                 y += c * (x << shift)
             return y
-
-        def pack(x: int) -> int:
-            raw = x.to_bytes(span * k, "big")
-            return int.from_bytes(b"".join(map(raw.__getitem__, runs)), "big")
 
         one = 1
     else:
@@ -412,15 +605,8 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
                     y[o + u] = y.get(o + u, 0) + c * v
             return y
 
-        def pack(x: dict) -> int:
-            raw = bytearray(size * k)
-            for o, v in x.items():
-                r = at[o] * k
-                raw[r : r + k] = v.to_bytes(k, "big")
-            return int.from_bytes(raw, "big")
-
         one = {0: 1}
-    packs = [0] * size
+    packs = [0] * len(exponents)
     path = [0] * degree  # the factors' indices, nondecreasing
     image = [one] * (degree + 1)  # image[t]: the image of the path's first t factors
     slot = [0] * (degree + 1)  # slot[t]: their monomial's box slot
@@ -515,11 +701,13 @@ def _table_for(scheme: SubdivisionScheme, degree: int) -> _Table:
 def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tuple:
     """expand_level on (items, path) branches, where items lists a form's
     content-normalized coefficients as (table column, int) pairs; a child's
-    items are a tuple, which keys the kept children."""
-    # kept child -> its path.  A repeat of a kept child would grow the same
-    # subtree again; the first copy, and with it the first path, is kept
+    items are a tuple, which keys the children met."""
+    # child met -> its path, or None when degree elevation pruned it.  A
+    # repeat would grow the same subtree again, or be pruned again: only the
+    # first copy, and with it the first path, is kept and counted
     first = {}
     pruned = 0
+    elevation = table.elevation
     for items, path in frontier:
         done = 0  # cells before this one are settled
         for m, out in table.children(items):
@@ -528,10 +716,16 @@ def _expand(frontier: Iterable[tuple[Sequence, IndexPath]], table: _Table) -> tu
             g = gcd(*out)
             child = tuple([(r, v // g) for r, v in enumerate(out) if v])
             if sum(out) < 0:
-                return list(first.items()), pruned, (child, path + (m + 1,))
-            first.setdefault(child, path + (m + 1,))
+                kept = [c for c in first.items() if c[1]]
+                return kept, pruned, (child, path + (m + 1,))
+            if child not in first:
+                if elevation is not None and elevation.proves(out, g):
+                    first[child] = None
+                    pruned += 1
+                else:
+                    first[child] = path + (m + 1,)
         pruned += len(table.cells) - done
-    return list(first.items()), pruned, None
+    return [c for c in first.items() if c[1]], pruned, None
 
 
 def expand_level(
@@ -542,9 +736,11 @@ def expand_level(
     Children are visited parent by parent, matrix by matrix.  Trivially
     positive children are counted in `pruned` and dropped; on the first
     trivially negative child the scan stops and that child is returned as
-    `negative` (later children are never materialized); all other children
-    are returned content normalized, each distinct form once, under the
-    path of its first copy (a repeat is neither returned nor counted).
+    `negative` (later children are never materialized).  Each other distinct
+    form counts once, under the path of its first copy (a repeat is neither
+    returned nor counted): it is counted in `pruned` and dropped when degree
+    elevation proves it nonnegative, and returned content normalized
+    otherwise.
     Every branch form must be nonzero and have the scheme's dimension and
     one shared degree.
     """

@@ -5,6 +5,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb, lcm
 
 import pytest
 
@@ -24,6 +25,7 @@ from formsign import (
     parse_form,
     witness_point,
 )
+from formsign import engine
 
 VARS3 = ("x", "y", "z")
 
@@ -179,16 +181,56 @@ def random_simplex_point(rng: random.Random, n: int, denominator: int = 60):
     return tuple(Fraction(w, total) for w in weights)
 
 
+def elevates(cells: int, n: int, degree: int) -> bool:
+    """Whether decide prunes by degree elevation on a scheme of `cells`
+    cells in n variables at `degree`: the degree is at least 2, its table
+    keeps strips (cells x size(d)^2 entries at most engine._BATCH_ENTRIES)
+    and the pack set of S^K * y^alpha, size(d) x size(d + K) entries, is as
+    small."""
+    size = comb(degree + n - 1, n - 1)
+    high = comb(degree + engine._POLYA_K + n - 1, n - 1)
+    bound = engine._BATCH_ENTRIES
+    return degree >= 2 and cells * size**2 <= bound and size * high <= bound
+
+
+def elevated(form: Form, k: int) -> dict:
+    """The coefficients of S^k * form, S the sum of the variables, by k
+    plain multiplications by S, on the numerators over one denominator."""
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    terms = {e: int(c * den) for e, c in form.terms.items()}
+    for _ in range(k):
+        product = {}
+        for e, c in terms.items():
+            for i in range(form.n):
+                up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                product[up] = product.get(up, 0) + c
+        terms = product
+    return {e: Fraction(c, den) for e, c in terms.items()}
+
+
+def elevation_proves(form: Form) -> bool:
+    """The engine's degree-elevation prune in Form arithmetic: floor the
+    content-normalized coefficients c to c >> s, s the bits of the largest
+    |c| past engine._COARSE_BITS, multiply by S^K and check the signs."""
+    ints = {e: int(c) for e, c in form.normalize_content().terms.items()}
+    s = max(0, max(map(abs, ints.values())).bit_length() - engine._COARSE_BITS)
+    floored = Form(form.n, {e: c >> s for e, c in ints.items()}, degree=form.degree)
+    return min(elevated(floored, engine._POLYA_K).values(), default=0) >= 0
+
+
 def plain_decide(form: Form, scheme: SubdivisionScheme, max_depth: int) -> Verdict:
     """decide as the plain nested loop over Form.substitute: every copy of a
     repeated child is expanded and counted, parent by parent and cell by
-    cell.  Images are memoized per (form, cell), which saves time and
-    changes no count, order or path."""
+    cell.  A child with a negative coefficient and a nonnegative sum is
+    pruned too when elevation_proves it, on the schemes and degrees where
+    decide elevates.  Images are memoized per (form, cell), which saves
+    time and changes no count, order or path."""
     if form.is_trivially_negative():
         point = barycenter(form.n)
         return Verdict(Outcome.INDEFINITE, 0, RunStats(0, 0, 1), (), point, form.evaluate(point))
     if form.is_trivially_positive():
         return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
+    elevate = elevates(len(scheme), form.n, form.degree)
     images = {}
     frontier = [(form.normalize_content(), ())]
     expanded = pruned = 0
@@ -208,6 +250,8 @@ def plain_decide(form: Form, scheme: SubdivisionScheme, max_depth: int) -> Verdi
                     point = witness_point(path + (i,), scheme)
                     value = form.evaluate(point)
                     return Verdict(Outcome.INDEFINITE, level, stats, path + (i,), point, value)
+                elif elevate and elevation_proves(child):
+                    pruned += 1
                 else:
                     children.append((child, path + (i,)))
         peak = max(peak, len(children))

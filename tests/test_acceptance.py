@@ -31,7 +31,8 @@ from formsign import (
     validate_scheme,
     witness_point,
 )
-from conftest import VARS3, random_form, random_simplex_point
+from formsign import engine
+from conftest import VARS3, elevated, random_form, random_simplex_point
 
 F = Fraction
 
@@ -139,18 +140,27 @@ def test_criterion_4_non_terminating_positive_definite_form(central3):
     # this strictly positive form never terminates under the central-fan
     # scheme: the frontier survives every depth, and the stuck branch has
     # a closed-form matrix power whose substitution keeps one coefficient
-    # pinned at -2
-    f = parse_form("(x1 - x2 + x3)^2 + x2^2", ("x1", "x2", "x3"))
+    # pinned at -2.  Every power of the cell fixes e1 and e2, so on the edge
+    # x3 = 0 the branch is a positive multiple of the form itself, and there
+    # S^K times it keeps a negative coefficient at every depth: degree
+    # elevation never prunes it
+    f = parse_form("(x1 - x2 + x3)^2 + 1/10*x2^2", ("x1", "x2", "x3"))
     verdict = decide(f, central3, max_depth=10)
     assert verdict.outcome is Outcome.INCONCLUSIVE
     assert verdict.depth_reached == 10
 
+    def on_edge(terms):
+        return {e: c for e, c in terms.items() if e[2] == 0}
+
+    edge = on_edge(elevated(f, engine._POLYA_K))
+    assert min(edge.values()) < 0
     a = central3.matrices[0]
     for m in range(1, 13):
         power = matrix_power(a, m)
         assert power == closed_form_central_power(m)
         image = f.substitute(power)
         assert image.coefficient((1, 1, 0)) == -2
+        assert on_edge(elevated(image, engine._POLYA_K)) == edge
 
 
 def test_criterion_5_convergence_classification(

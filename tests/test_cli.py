@@ -62,7 +62,7 @@ class TestDecideCommand:
         code, out, err = run(
             capsys,
             "decide", "--vars", "x1,x2,x3",
-            "--form", "(x1 - x2 + x3)^2 + x2^2",
+            "--form", "(x1 - x2 + x3)^2 + 1/10*x2^2",
             "--scheme", "central3", "--max-depth", "4",
         )
         assert code == 2
@@ -292,9 +292,12 @@ class TestLongNumbers:
     [
         (0, ["--vars", "x,y,z", "--form", SYM_DIFF_TEXT, "--scheme", "wds"]),
         (1, ["--vars", "x,y,z", "--form", MIXED_SIGN_TEXT, "--scheme", "trisection3"]),
-        (2, ["--vars", "x1,x2,x3", "--form", "(x1 - x2 + x3)^2 + x2^2",
+        (2, ["--vars", "x1,x2,x3", "--form", "(x1 - x2 + x3)^2 + 1/10*x2^2",
              "--scheme", "central3", "--max-depth", "4"]),
         (3, ["--vars", "x,y", "--form", "x +", "--scheme", "wds"]),
+        # strictly positive, settled on level 1 by degree elevation
+        (0, ["--vars", "x1,x2,x3", "--form", "(x1 - x2 + x3)^2 + x2^2",
+             "--scheme", "central3", "--max-depth", "10"]),
     ],
 )
 def test_process_exit_codes(code, argv):

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -41,6 +41,9 @@ from conftest import (
     VARS3,
     all_exponents,
     bisection_scheme,
+    elevates,
+    elevated,
+    elevation_proves,
     lowest_digit_limit,
     plain_decide,
     swapped_halves_scheme,
@@ -82,8 +85,9 @@ class TestDecideTermination:
         assert verdict.witness_path == (1, 3)
         assert verdict.witness_point == (F(67, 108), F(37, 108), F(1, 27))
         assert verdict.witness_value == F(-647, 23328)
-        # level 1 keeps (1,) and (2,); children (3,) and (4,) repeat them
-        assert verdict.stats == RunStats(7, 4, 2)
+        # level 1 keeps (1,) and prunes (2,) by degree elevation; children
+        # (3,) and (4,) repeat them and are counted nowhere
+        assert verdict.stats == RunStats(7, 5, 1)
         assert f.evaluate(verdict.witness_point) == verdict.witness_value
 
     def test_inconclusive_when_zero_is_irrational(self, wds2):
@@ -234,13 +238,14 @@ class TestExpandLevel:
 
     def test_negative_child_short_circuits(self, wds3):
         # at the second level the third child of the first branch turns
-        # trivially negative; expansion must stop right there.  Children
-        # (3,) and (4,) of the first level repeat (1,) and (2,)
+        # trivially negative; expansion must stop right there.  On the first
+        # level, child (2,) is pruned by degree elevation, and children (3,)
+        # and (4,) repeat (1,) and (2,)
         f = parse_form("x^2 + y^2 + z^2 - 5/2*x*y", VARS3)
         first = expand_level([Branch(f.normalize_content(), ())], wds3)
         assert first.negative is None
-        assert [b.path for b in first.children] == [(1,), (2,)]
-        assert first.pruned == 2
+        assert [b.path for b in first.children] == [(1,)]
+        assert first.pruned == 3
         second = expand_level(first.children, wds3)
         assert second.negative is not None
         assert second.negative.path == (1, 3)
@@ -434,10 +439,24 @@ def sparse_child(table, columns, rep, pin, items):
     return out
 
 
+def child_form(table, items):
+    """The form with (column, int) pairs `items` in table.exponents order."""
+    return Form(len(table.exponents[0]), {table.exponents[r]: v for r, v in items})
+
+
+def table_elevates(table):
+    exps = table.exponents
+    return elevates(len(table.cells), len(exps[0]), sum(exps[0]))
+
+
 def sparse_expand(frontier, table, columns):
     """engine._expand as one multiply-add per (parent term, expansion entry),
-    keeping the first copy of each kept child."""
-    children, pruned = [], 0
+    keeping the first copy of each kept child.  A child with a negative
+    coefficient and a nonnegative sum is pruned when it elevates and
+    elevation_proves it; a repeat of a kept or an elevation-pruned child is
+    dropped and counted nowhere."""
+    children, proved, pruned = [], [], 0
+    elevate = table_elevates(table)
     for items, path in frontier:
         for m_idx, (rep, pin, pout) in enumerate(table.cells, start=1):
             out = sparse_child(table, columns, rep, pin, items)
@@ -449,7 +468,12 @@ def sparse_expand(frontier, table, columns):
             child = (tuple((r, v // g) for r, v in enumerate(out) if v), path + (m_idx,))
             if sum(out) < 0:
                 return children, pruned, child
-            if all(child[0] != kept for kept, _ in children):
+            if child[0] in proved or any(child[0] == kept for kept, _ in children):
+                continue
+            if elevate and elevation_proves(child_form(table, child[0])):
+                proved.append(child[0])
+                pruned += 1
+            else:
                 children.append(child)
     return children, pruned, None
 
@@ -529,6 +553,10 @@ def test_many_variables_at_a_low_degree():
     assert peak < 2**20
     assert seconds < 2
     assert_packs_decode_to(table, substituted_columns(scheme, table), 64)
+    # it keeps strips, but its elevation pack set would have 136 x C(25, 15)
+    # entries: it builds none
+    assert table.strips is not None
+    assert table.elevation is None
 
 
 def random_parent(rng, size, kind):
@@ -590,7 +618,9 @@ def two_pass_model(frontier, table, columns):
     every parent through its strips, floored to engine._COARSE_BITS bits
     if it is wider, so it asks for no packs until the exact pass, and for
     none on a parent it need not floor, whose children are its strip sum; a
-    larger one has no strips and runs the exact pass alone."""
+    larger one has no strips and runs the exact pass alone.  Degree
+    elevation, which _expand runs on the children the table yields, asks
+    the table for no packs, so it has no part in this model."""
     size = len(table.exponents)
     batched = len(table.cells) * size**2 <= engine._BATCH_ENTRIES
     assert (table.strips is not None) == batched
@@ -961,6 +991,198 @@ class TestBatchedFlooredPass:
         assert all(seen.values()), seen
 
 
+# ---------------------------------------------------------------------------
+# degree elevation against S^K * G in Form arithmetic
+
+
+def elevation_slots(elevation, n, degree):
+    """Each part of an elevation pack set decoded to {column: {monomial:
+    entry}}, the part's monomials read off S^K * y^alpha in Form arithmetic:
+    the facets', then the interior's."""
+    high = degree + engine._POLYA_K
+    descending = tuple(sorted(all_exponents(n, high), reverse=True))
+    wanted = [[e for e in descending if not e[i]] for i in range(n)]
+    wanted.append([e for e in descending if 0 not in e])
+    found = []
+    for (top, terms), monomials in zip(elevation.parts, [w for w in wanted if w]):
+        w = top.bit_length() // len(monomials)
+        assert top == engine._bias(w, len(monomials))
+        found.append(
+            {j: dict(zip(monomials, decode(pack, len(monomials), w))) for j, pack in terms}
+        )
+    return found
+
+
+@pytest.mark.parametrize("n, degree", [(2, 3), (3, 0), (3, 4), (4, 2), (6, 1), (6, 2)])
+def test_elevation_packs_match_form_arithmetic(n, degree):
+    # (6, 2) lays its facets out as ints and its interior as dicts, the
+    # degree-10 box of 6 variables having 11^5 slots, and (6, 1) both as
+    # dicts
+    exps = tuple(sorted(all_exponents(n, degree), reverse=True))
+    elevation = engine._Elevation(n, degree, exps)
+    parts = elevation_slots(elevation, n, degree)
+    assert len(parts) == n + 1
+    for i, part in enumerate(parts):
+        for j, alpha in enumerate(exps):
+            image = elevated(Form(n, {alpha: 1}), engine._POLYA_K)
+            if i < n and alpha[i]:
+                assert j not in part
+                continue
+            assert part[j] == {e: image.get(e, 0) for e in part[j]}
+    assert elevation.vertices == [j for j, e in enumerate(exps) if degree in e]
+
+
+def largest_elevated_degree(n):
+    """The largest degree whose pack set of n variables, size(d) x
+    size(d + K) entries, is within engine._BATCH_ENTRIES, or -1."""
+    def entries(d):
+        return comb(d + n - 1, n - 1) * comb(d + engine._POLYA_K + n - 1, n - 1)
+
+    d = -1
+    while entries(d + 1) <= engine._BATCH_ENTRIES:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_elevation_pack_sets_stay_cheap_within_the_size_bound(n):
+    # tables elevate at degree 2 or more: the bound admits degree 357 at
+    # n = 2 and degree 2 at n = 6 (21 x 3 003 entries, the interior laid out
+    # as dicts), and no such degree at n = 7, where degree 2 needs 28 x 8 008
+    degree = largest_elevated_degree(n)
+    assert (degree < 2) == (n >= 7)
+    bisection = engine._Table(bisection_scheme(n), 2)
+    assert (bisection.elevation is None) == (n >= 7)
+    if degree < 2:
+        return
+    exps = tuple(sorted(all_exponents(n, degree), reverse=True))
+    gc.collect()
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        elevation = engine._Elevation(n, degree, exps)
+        seconds = time.process_time() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.5
+    assert peak < 4 * 2**20
+    assert len(elevation.parts) == n + 1
+
+
+def biased_parents(rng, exps, count):
+    """Forms in exps order that degree elevation often settles: coefficients
+    of 20 to 40 with a few negative ones, now and then at a vertex, as
+    lists of ints, scaled by a random positive int."""
+    out = []
+    while len(out) < count:
+        coeffs = [rng.randint(20, 40) for _ in exps]
+        for j in rng.sample(range(len(exps)), rng.randint(1, 3)):
+            coeffs[j] = -rng.randint(1, 60)
+        if min(coeffs) < 0 <= sum(coeffs):
+            out.append([rng.randint(1, 3) * c for c in coeffs])
+    return out
+
+
+@pytest.mark.parametrize("n, degree", [(2, 4), (3, 3), (4, 2)])
+def test_elevation_test_is_the_floored_product(n, degree):
+    # one multiply-add per term on the packs agrees with flooring the child
+    # and multiplying it by S^K in Form arithmetic; a negative vertex
+    # coefficient skips the product, and never a child that would pass,
+    # since y_i^(d + K) in S^K * G has G's coefficient of y_i^d
+    exps = tuple(sorted(all_exponents(n, degree), reverse=True))
+    elevation = engine._Elevation(n, degree, exps)
+    rng = random.Random(f"elevation:{n}:{degree}")
+    seen = {"proved": 0, "failed": 0, "vertex": 0}
+    for out in biased_parents(rng, exps, 150):
+        form = Form(n, dict(zip(exps, out)))
+        got = elevation.proves(out, gcd(*out))
+        assert got == elevation_proves(form)
+        if min(out[j] for j in elevation.vertices) < 0:
+            seen["vertex"] += 1
+            assert not elevation_proves(form)
+        seen["proved" if got else "failed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_elevation_floors_a_wide_child():
+    # a (x^2 - x y + y^2) with a = 2^40 + 1 floors at s = 25 to
+    # 2^15 x^2 - (2^15 + 1) x y + 2^15 y^2, whose elevation is still
+    # nonnegative, also when the child comes scaled by g = 3; a (x - y)^2
+    # vanishes on the cell, so no S^K times it is nonnegative
+    exps = ((2, 0), (1, 1), (0, 2))
+    elevation = engine._Elevation(2, 2, exps)
+    a = 2**40 + 1
+    assert elevation.proves([a, -a, a], 1)
+    assert elevation.proves([3 * a, -3 * a, 3 * a], 3)
+    assert not elevation.proves([a, -2 * a, a], 1)
+    assert elevation_proves(Form(2, dict(zip(exps, (a, -a, a)))))
+
+
+def test_repeat_of_an_elevation_pruned_child_is_dropped_uncounted():
+    # the one-cell identity scheme: each child is its parent.  x^2 - xy + y^2
+    # is pruned by degree elevation once, and its repeat counts nowhere;
+    # (x - y)^2 vanishes on the cell, so it is kept once, under its first path
+    scheme = SubdivisionScheme("id2", 2, [NormalizedMatrix.identity(2)])
+    table = engine._Table(scheme, 2)
+    assert table.elevation is not None
+    proved = ((0, 1), (1, -1), (2, 1))
+    kept = ((0, 1), (1, -2), (2, 1))
+    frontier = [(proved, (1,)), (kept, (2,)), (proved, (3,)), (kept, (4,))]
+    assert engine._expand(frontier, table) == ([(kept, (2, 1))], 1, None)
+
+
+def positive_ish_form(rng, n, degree):
+    """l^2 S^(d - 2) + t S^d, d >= 2, l a random linear form of mixed signs
+    with coefficients of about 14 bits, S the sum of the variables and t of
+    23 to 25 bits: strictly positive on the simplex, with coefficients wider
+    than engine._COARSE_BITS, negative ones where l has mixed signs."""
+    names = [f"v{i}" for i in range(1, n + 1)]
+    coeffs = [rng.randint(-3, 3) * 4096 + rng.randrange(4096) for _ in names]
+    line = " + ".join(f"({c})*{v}" for c, v in zip(coeffs, names))
+    total = "(" + " + ".join(names) + ")"
+    t = rng.randint(2**22, 2**24)
+    return parse_form(f"({line})^2*{total}^{degree - 2} + {t}*{total}^{degree}", names)
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEMES)
+def test_every_elevation_pruned_child_is_nonnegative(name, monkeypatch):
+    # every child the engine prunes by degree elevation has a negative
+    # coefficient, and S^K times it, exactly and unfloored, has none
+    scheme = KERNEL_SCHEMES[name]()
+    n = scheme.n
+    proves = engine._Elevation.proves
+    tested = []
+
+    def record(elevation, out, g):
+        got = proves(elevation, out, g)
+        tested.append((out, g, got))
+        return got
+
+    monkeypatch.setattr(engine._Elevation, "proves", record)
+    rng = random.Random(f"sound:{name}")
+    degrees = [d for d in (2, 3, 4) if elevates(len(scheme), n, d)]
+    proved = floored = 0
+    for _ in range(12 if degrees else 0):
+        if proved >= 100:
+            break
+        degree = rng.choice(degrees)
+        exps = engine._table_for(scheme, degree).exponents
+        tested.clear()
+        decide(positive_ish_form(rng, n, degree), scheme, max_depth=1)
+        for out, g, got in tested:
+            if got:
+                proved += 1
+                child = Form(n, {e: v // g for e, v in zip(exps, out)})
+                wide = max(abs(c) for c in child.terms.values())
+                floored += wide >= 2**engine._COARSE_BITS
+                assert min(child.terms.values()) < 0
+                assert min(elevated(child, engine._POLYA_K).values()) >= 0
+    # bisection8 elevates at no degree: past degree 1 its pack sets are
+    # too large
+    assert (proved and floored) or not degrees
+
+
 class TestWitnessPoint:
     def test_empty_path_is_barycenter(self, wds3):
         assert witness_point((), wds3) == (F(1, 3), F(1, 3), F(1, 3))
@@ -995,16 +1217,21 @@ class TestWitnessPoint:
             assert witness_point(path, scheme) == cell.apply(barycenter(scheme.n))
 
 
+# strictly positive, but its restriction to the edge x3 = 0, which every
+# power of central3's first cell keeps, needs K = 40 in Polya's test
+CENTRAL_STUCK_TEXT = "(x1 - x2 + x3)^2 + 1/10*x2^2"
+
+
 class TestCentralFanRegression:
     def test_positive_definite_form_never_terminates(self, central3):
-        f = parse_form("(x1 - x2 + x3)^2 + x2^2", ("x1", "x2", "x3"))
+        f = parse_form(CENTRAL_STUCK_TEXT, ("x1", "x2", "x3"))
         verdict = decide(f, central3, max_depth=10)
         assert verdict.outcome is Outcome.INCONCLUSIVE
         assert verdict.depth_reached == 10
-        assert verdict.stats == RunStats(57, 37, 2)
+        assert verdict.stats == RunStats(105, 67, 4)
 
     def test_stuck_branch_tracks_matrix_powers(self, central3):
-        f = parse_form("(x1 - x2 + x3)^2 + x2^2", ("x1", "x2", "x3"))
+        f = parse_form(CENTRAL_STUCK_TEXT, ("x1", "x2", "x3"))
         a = central3.matrices[0]
         frontier = [Branch(f.normalize_content(), ())]
         for m in range(1, 7):
@@ -1015,6 +1242,23 @@ class TestCentralFanRegression:
             expected = f.substitute(matrix_power(a, m)).normalize_content()
             assert stuck.form == expected
             assert stuck.form.coefficient((1, 1, 0)) < 0
+            # so degree elevation cannot prune it
+            assert min(elevated(stuck.form, engine._POLYA_K).values()) < 0
+
+    def test_form_that_ran_out_of_depth_now_ends_psd(self, central3):
+        # (x1 - x2 + x3)^2 + x2^2 was inconclusive at any depth before the
+        # degree-elevation prune: its stuck branch keeps a -2 x1 x2.  Each
+        # level-1 child with a negative coefficient is pruned by S^K
+        f = parse_form("(x1 - x2 + x3)^2 + x2^2", ("x1", "x2", "x3"))
+        verdict = decide(f, central3, max_depth=10)
+        assert verdict.outcome is Outcome.PSD
+        assert verdict.depth_reached == 1
+        assert verdict.stats == RunStats(3, 3, 1)
+        children = [f.substitute(m).normalize_content() for m in central3.matrices]
+        elevated_children = [c for c in children if not c.is_trivially_positive()]
+        assert elevated_children
+        for child in elevated_children:
+            assert min(elevated(child, engine._POLYA_K).values()) >= 0
 
 
 class TestRunReport:
@@ -1039,7 +1283,7 @@ class TestRunReport:
         assert "note" not in report
 
     def test_inconclusive_report_carries_note(self, central3):
-        f = parse_form("(x1 - x2 + x3)^2 + x2^2", ("x1", "x2", "x3"))
+        f = parse_form(CENTRAL_STUCK_TEXT, ("x1", "x2", "x3"))
         report = run_report(decide(f, central3, max_depth=3))
         assert report["verdict"] == "inconclusive"
         assert "undecided" in report["note"]
