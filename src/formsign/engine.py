@@ -28,11 +28,12 @@ under a kept branch.  An empty frontier proves nonnegativity on all of T_n
 (every direction is covered by some pruned ancestor); hitting max_depth with
 live branches is inconclusive.  All arithmetic is exact.
 
-The input form is read once as its content vector (forms._content): coprime
-integer coefficients, a positive multiple of the form, so the depth-0 tests
-are an int sum and an int minimum, and a witness is mapped and evaluated
-on ints too.  Branch forms are kept as such vectors; they become Forms only
-at the public expand_level boundary.  The engine substitutes each matrix's
+A Form keeps int coefficients over one denominator, so the depth-0 tests
+are an int sum and an int minimum, and the root is read once as its content
+vector (Form.normalize_content): coprime integer coefficients, a positive
+multiple of the form.  A witness is mapped and evaluated on ints too.
+Branch forms are kept as such vectors; they become Forms, over 1, only at
+the public expand_level boundary.  The engine substitutes each matrix's
 cleared ints (NormalizedMatrix.ints; scaling a substitution matrix by a
 positive constant scales the image form by a positive constant, which
 normalization removes and no sign test can see) and precomputes, per scheme
@@ -91,7 +92,6 @@ from .forms import (
     DimensionMismatchError,
     Form,
     _compositions,
-    _content,
     _write_rational,
 )
 from .subdivision import SubdivisionScheme, barycenter
@@ -761,13 +761,13 @@ def expand_level(
     index, exps = table.index, table.exponents
     parents = []
     for b in branches:
-        ints = _content(b.form.terms)
+        ints = b.form.normalize_content().ints
         parents.append(([(index[e], v) for e, v in ints.items()], b.path))
 
     def branch(child) -> Branch:
         items, path = child
-        terms = {exps[r]: Fraction(v) for r, v in items}
-        return Branch(Form._of(scheme.n, terms, degree), path)
+        ints = {exps[r]: v for r, v in items}
+        return Branch(Form._of(scheme.n, ints, 1, degree), path)
 
     children, pruned, negative = _expand(parents, table)
     negative = None if negative is None else branch(negative)
@@ -833,16 +833,14 @@ def decide(
             )
         return Verdict(Outcome.INDEFINITE, depth, stats, path, point, value)
 
-    # depth 0: the input form itself may already settle it; the content
-    # vector is a positive multiple of the form, so its coefficient sum and
-    # least coefficient have the form's signs
-    ints = _content(form.terms)
-    if sum(ints.values()) < 0:
+    # depth 0: the input form itself may already settle it
+    if form.is_trivially_negative():
         return indefinite(0, (), RunStats(0, 0, 1))
-    if min(ints.values()) >= 0:
+    if form.is_trivially_positive():
         return Verdict(Outcome.PSD, 0, RunStats(0, 0, 1))
 
     table = _table_for(scheme, form.degree)
+    ints = form.normalize_content().ints
     frontier = [([(table.index[e], v) for e, v in ints.items()], ())]
     expanded = 0
     pruned_total = 0

@@ -1,15 +1,17 @@
 """Exact arithmetic on homogeneous polynomial forms.
 
 A form of degree d in n variables is stored sparsely as a map from exponent
-vectors (length-n tuples of nonnegative ints summing to d) to nonzero
-rational coefficients.  Everything is exact: coefficients and points are
-`fractions.Fraction` at the API, and floats are refused on sight so no
-rounding can sneak into a verdict.  Inside, the per-query work runs on
-Python ints over a common denominator (_cleared): evaluation, content
-normalization (_content), the parser's values and subdivision cells, each
-building Fractions only for its result.  Polynomials in progress (the
-parser's values, Form.substitute's products) key each monomial by one int
-(_Keys), so that multiplying two monomials is one int addition.
+vectors (length-n tuples of nonnegative ints summing to d) to nonzero ints,
+all over one positive denominator (Form.ints over Form.den), as a
+subdivision cell's entries are.  Everything is exact: coefficients and
+points are `fractions.Fraction` at the API, and floats are refused on sight
+so no rounding can sneak into a verdict.  Rationals become ints over their
+least common denominator in one place (_cleared): a Form's coefficients, a
+point and a cell.  Evaluation, substitution, the sign tests and content
+normalization run on those ints, each building Fractions only for its
+result.  Polynomials in progress (the parser's values, Form.substitute's
+products) key each monomial by one int (_Keys), so that multiplying two
+monomials is one int addition.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 Exponents = tuple[int, ...]
 RationalLike = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
 # decimal digits of the longest integer literal the form and scheme-file
 # parsers read; Python's default int-to-str limit
 MAX_DIGITS = 4300
@@ -108,13 +109,16 @@ def as_fraction(value: RationalLike) -> Fraction:
 class Form:
     """A homogeneous polynomial with exact rational coefficients.
 
-    Instances are value objects: treat them as immutable.  Zero coefficients
-    are dropped at construction, so `terms` holds only the support, and a
-    form with empty support is the zero form (its degree defaults to 0
-    unless a degree is passed along).
+    Instances are value objects: treat them as immutable.  As a cell's
+    entries are, the coefficients are stored cleared (_cleared): `ints`
+    maps each exponent tuple of the support to a nonzero int, over `den`,
+    a positive int that shares no prime with all of them.  Equality,
+    hashing and every computation read that canonical pair; `terms` builds
+    Fractions on demand.  The zero form has no support, {} over 1, and
+    degree 0 unless a degree is passed along.
     """
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "ints", "den")
 
     def __init__(
         self,
@@ -142,27 +146,28 @@ class Form:
         if len(degrees) > 1:
             raise InhomogeneousError(degrees)
         self.n = n
-        self.terms = clean
-        if degrees:
-            self.degree = degrees.pop()
-        else:
-            self.degree = 0 if degree is None else degree
+        ints, self.den = _cleared(clean.values())
+        self.ints = dict(zip(clean, ints))
+        self.degree = degrees.pop() if degrees else (0 if degree is None else degree)
 
     @classmethod
-    def _of(cls, n: int, terms: dict[Exponents, Fraction], degree: int) -> Form:
-        """The form with `terms`, taken as they are, with none of __init__'s
-        checks: the caller guarantees n >= 1, exponent tuples of n
-        nonnegative ints summing to `degree`, and nonzero Fraction
-        coefficients."""
+    def _of(cls, n: int, ints: dict[Exponents, int], den: int, degree: int) -> Form:
+        """The form of `ints` over `den`, taken as they are, with none of
+        __init__'s checks: the caller guarantees n >= 1, exponent tuples of
+        n nonnegative ints summing to `degree`, nonzero ints, and the
+        canonical pair, den > 0 and gcd(den, *ints.values()) == 1."""
         form = object.__new__(cls)
-        form.n = n
-        form.terms = terms
-        form.degree = degree
+        form.n, form.ints, form.den, form.degree = n, ints, den, degree
         return form
 
     @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        den = self.den
+        return {exps: Fraction(v, den) for exps, v in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
         """Coefficient of the given monomial (0 if absent)."""
@@ -171,7 +176,7 @@ class Form:
             raise DimensionMismatchError(
                 f"exponent vector {exps} has length {len(exps)}, expected {self.n}"
             )
-        return self.terms.get(exps, _ZERO)
+        return Fraction(self.ints.get(exps, 0), self.den)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a point, given as rationals (floats rejected).
@@ -183,11 +188,10 @@ class Form:
         """
         pt = self._check_point(point)
         coords, den = _cleared(pt)
-        coeffs, scale = _cleared(self.terms.values())
         # powers[i][e] = coords[i]^e, for the exponents e that occur
         powers: list[dict[int, int]] = [{} for _ in coords]
         total = 0
-        for exps, v in zip(self.terms, coeffs):
+        for exps, v in self.ints.items():
             for a, cache, e in zip(coords, powers, exps):
                 if e:
                     p = cache.get(e)
@@ -195,7 +199,7 @@ class Form:
                         p = cache[e] = a**e
                     v *= p
             total += v
-        return Fraction(total, scale * den**self.degree)
+        return Fraction(total, self.den * den**self.degree)
 
     def substitute(self, matrix) -> Form:
         """Compose with a linear change of variables.
@@ -204,7 +208,7 @@ class Form:
         attribute, such as a NormalizedMatrix); row i holds the coefficients
         of the new variables in the image of old variable i.  The result is
         again homogeneous of the same degree.  Powers of each variable's
-        linear image are expanded once and reused across terms.
+        linear image are expanded once, on ints, and reused across terms.
         """
         rows = getattr(matrix, "rows", matrix)
         images = [tuple(as_fraction(v) for v in row) for row in rows]
@@ -213,9 +217,13 @@ class Form:
                 f"substitution matrix must be {self.n} x {self.n}"
             )
         n = self.n
+        entries, scale = _cleared(v for image in images for v in image)
         keys = _Keys(n, self.degree)
-        linear = [{u: c for u, c in zip(keys.units, image) if c} for image in images]
-        pows: list[list[dict]] = [[{0: Fraction(1)}] for _ in range(n)]
+        linear = [
+            {u: c for u, c in zip(keys.units, entries[i : i + n]) if c}
+            for i in range(0, n * n, n)
+        ]
+        pows: list[list[dict]] = [[{0: 1}] for _ in range(n)]
 
         def image_power(i: int, e: int) -> dict:
             cache = pows[i]
@@ -223,16 +231,17 @@ class Form:
                 cache.append(_mul(cache[-1], linear[i]))
             return cache[e]
 
-        out: dict[int, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[int, int] = {}
+        for exps, coeff in self.ints.items():
             prod = {0: coeff}
             for i, e in enumerate(exps):
                 if e:
                     prod = _mul(prod, image_power(i, e))
             for k, v in prod.items():
-                out[k] = out.get(k, _ZERO) + v
-        out = dict(zip(keys.unpack(out), out.values()))
-        return Form(n, out, degree=self.degree)
+                out[k] = out.get(k, 0) + v
+        out = {k: v for k, v in out.items() if v}
+        out, den = _lowest(out, self.den * scale**self.degree)
+        return Form._of(n, dict(zip(keys.unpack(out), out.values())), den, self.degree)
 
     def is_trivially_positive(self) -> bool:
         """True when every coefficient is nonnegative.
@@ -240,30 +249,29 @@ class Form:
         Such a form is nonnegative everywhere on the nonnegative orthant,
         so the branch carrying it needs no further subdivision.
         """
-        return all(c >= 0 for c in self.terms.values())
+        return min(self.ints.values(), default=0) >= 0
 
     def is_trivially_negative(self) -> bool:
         """True when the value at the simplex barycenter is negative.
 
         The value at (1/n, ..., 1/n) is (sum of coefficients) / n**degree,
-        so only the coefficient sum's sign is tested.  Exactly zero is not
+        so only the sign of the ints' sum is tested.  Exactly zero is not
         negative.
         """
-        return sum(self.terms.values()) < 0
+        return sum(self.ints.values()) < 0
 
     def normalize_content(self) -> Form:
         """Scale by a positive rational so coefficients are coprime integers.
 
-        Multiplies by lcm(denominators)/gcd(numerators).  The scale factor
-        is positive, so the sign pattern, the two triviality tests and the
-        zero set are all unchanged.  The zero form is returned as is.
+        Multiplies by den/gcd(ints), so the result is the ints divided by
+        their gcd, over 1.  The scale factor is positive, so the sign
+        pattern, the two triviality tests and the zero set are all
+        unchanged.  The zero form is returned as is.
         """
-        if not self.terms:
+        g = gcd(*self.ints.values())  # 0 for the zero form
+        if g < 2 and self.den == 1:
             return self
-        ints = _content(self.terms)
-        if ints == self.terms:
-            return self
-        return Form(self.n, ints, degree=self.degree)
+        return Form._of(self.n, {e: v // g for e, v in self.ints.items()}, 1, self.degree)
 
     def _check_point(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         pt = tuple(as_fraction(v) for v in point)
@@ -276,17 +284,14 @@ class Form:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        mine = (self.n, self.degree, self.den, self.ints)
+        return mine == (other.n, other.degree, other.den, other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.degree, frozenset(self.terms.items())))
+        return hash((self.n, self.degree, self.den, frozenset(self.ints.items())))
 
     def __repr__(self) -> str:
-        return f"Form(n={self.n}, degree={self.degree}, terms={len(self.terms)})"
+        return f"Form(n={self.n}, degree={self.degree}, terms={len(self.ints)})"
 
 
 def _compositions(total: int, n: int) -> Iterator[Exponents]:
@@ -306,16 +311,11 @@ def _cleared(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _content(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, int]:
-    """A form's coefficients scaled to coprime integers: times the lcm of
-    their denominators over the gcd of the numerators that gives.  The
-    scale is positive, so signs, the coefficient sum's sign and the zero
-    set stay as they are."""
-    ints, _ = _cleared(terms.values())
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return dict(zip(terms, ints))
+def _lowest(ints: dict, den: int) -> tuple[dict, int]:
+    """Nonzero ints over a positive den, both divided by their gcd: the
+    canonical pair a Form keeps."""
+    g = gcd(den, *ints.values())
+    return ({k: v // g for k, v in ints.items()}, den // g) if g > 1 else (ints, den)
 
 
 class _Keys:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -41,6 +40,7 @@ from .forms import (
     Form,
     InhomogeneousError,
     _Keys,
+    _lowest,
     _mul,
     _read_int,
     _write_rational,
@@ -146,8 +146,8 @@ class _Parser:
     can reach: a product multiplies the denominators, a power raises it,
     and a sum brings its summands to the lcm of theirs.  A literal p/q is
     in lowest terms, a one-term factor cancels against the other factor's
-    denominator (_times), and an empty value is over 1.  parse_form divides
-    once at the end, one Fraction per term.
+    denominator (_times), and an empty value is over 1.  parse_form hands
+    the final ints and den to the Form after one gcd.
     """
 
     def __init__(self, text: str, ctx: VariableContext):
@@ -436,7 +436,7 @@ def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> F
     parser = _Parser(text, ctx)
     terms, den = parser.parse()
     if den > 1:
-        # each Fraction reduces its coefficient by one gcd with den
+        # _lowest reads every coefficient in one gcd with den
         weight = _pair_weight(_bits(terms), den.bit_length())
         parser.charge(len(terms) * weight, 0)
     # the parser builds only keys of ctx.n exponents >= 0 and drops zero
@@ -445,9 +445,9 @@ def parse_form(text: str, variables: Iterable[str] | str | VariableContext) -> F
     degrees = set(map(keys.degree, terms))
     if len(degrees) > 1:
         raise InhomogeneousError(degrees)
-    fractions = [Fraction(v, den) for v in terms.values()]
-    terms = dict(zip(keys.unpack(terms), fractions))
-    return Form._of(ctx.n, terms, degrees.pop() if degrees else 0)
+    terms, den = _lowest(terms, den)
+    ints = dict(zip(keys.unpack(terms), terms.values()))
+    return Form._of(ctx.n, ints, den, degrees.pop() if degrees else 0)
 
 
 def format_form(form: Form, variables: Iterable[str] | str | VariableContext) -> str:
@@ -465,8 +465,9 @@ def format_form(form: Form, variables: Iterable[str] | str | VariableContext) ->
         return "0"
     parts: list[str] = []
     # within one homogeneous form graded-lex is plain lex; sort high to low
-    for exps in sorted(form.terms, key=lambda e: (sum(e), e), reverse=True):
-        coeff = form.terms[exps]
+    terms = form.terms
+    for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        coeff = terms[exps]
         factors = []
         for name, e in zip(ctx.names, exps):
             if e == 1:

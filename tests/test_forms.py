@@ -3,6 +3,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from formsign import (
     Outcome,
     as_fraction,
     decide,
+    format_form,
     make_wds_scheme,
     parse_form,
 )
@@ -132,6 +134,7 @@ class TestConstruction:
         f = Form(3, {})
         assert f.is_zero
         assert f.degree == 0
+        assert (f.ints, f.den, f.terms) == ({}, 1, {})
 
     def test_zero_form_with_declared_degree(self):
         f = Form(3, {}, degree=4)
@@ -139,8 +142,9 @@ class TestConstruction:
         assert f.degree == 4
 
     def test_all_zero_coefficients_is_zero_form(self):
-        f = Form(2, {(3, 0): 0, (0, 3): F(0)})
+        f = Form(2, {(3, 0): 0, (0, 3): F(0), (1, 2): "0/7"})
         assert f.is_zero
+        assert (f.ints, f.den) == ({}, 1)
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(InhomogeneousError) as exc:
@@ -188,6 +192,16 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Form(2, {(2, 0): 1})
+
+    def test_coefficients_kept_as_ints_over_one_denominator(self):
+        f = Form(2, {(2, 0): "2/4", (0, 2): "1/2"})
+        assert (f.ints, f.den) == ({(2, 0): 1, (0, 2): 1}, 2)
+        parsed = parse_form("1/2*x^2 + 1/2*y^2", "x,y")
+        assert f == parsed and hash(f) == hash(parsed)
+        assert f != Form(2, {(2, 0): 1, (0, 2): 1})
+        g = Form(2, {(2, 0): F(3, 4), (1, 1): F(-5, 6), (0, 2): 2})
+        assert (g.ints, g.den) == ({(2, 0): 9, (1, 1): -10, (0, 2): 24}, 12)
+        assert g.terms == {(2, 0): F(3, 4), (1, 1): F(-5, 6), (0, 2): F(2)}
 
 
 class TestCoefficient:
@@ -356,6 +370,19 @@ def test_compositions_list_every_exponent_vector_in_ascending_order(n):
 def test_evaluate_matches_the_per_term_sum(form, data):
     point = data.draw(st.lists(coordinates, min_size=form.n, max_size=form.n))
     assert form.evaluate(point) == naive_evaluate(form, point)
+
+
+@EXAMPLES
+@given(forms())
+def test_one_canonical_representation(form):
+    # the ints and den are in lowest terms, so the Fractions they give
+    # rebuild the same form, and so does the text the form prints as
+    names = ["x", "y", "z", "w"][: form.n]
+    assert gcd(form.den, *form.ints.values()) == 1 and form.den > 0
+    rebuilt = Form(form.n, form.terms, degree=form.degree)
+    assert rebuilt == form and hash(rebuilt) == hash(form)
+    if not form.is_zero:  # "0" parses as the zero form of degree 0
+        assert parse_form(format_form(form, names), names) == form
 
 
 @EXAMPLES

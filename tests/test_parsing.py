@@ -102,8 +102,10 @@ class TestParseBasics:
         assert f.terms == {(2, 0): F(1), (1, 1): F(-2)}
 
     def test_cancellation_to_zero(self):
-        f = parse_form("x*y - x*y", "x,y")
-        assert f.is_zero
+        for text in ("x*y - x*y", "1/3*x*y - 1/3*x*y"):
+            f = parse_form(text, "x,y")
+            assert f.is_zero
+            assert (f.ints, f.den) == ({}, 1)
 
     def test_multicharacter_names(self):
         f = parse_form("x1^2 - x2*x3", ("x1", "x2", "x3"))
@@ -140,6 +142,16 @@ class TestParseBasics:
         assert len(mixed_sign_form.terms) == 9
         assert mixed_sign_form.coefficient((4, 1, 1)) == -2
         assert mixed_sign_form.coefficient((0, 6, 0)) == 1
+
+    def test_form_takes_the_parse_value_in_lowest_terms(self):
+        # the parser ends with 2*x*y + 2*x*z over 2; the Form keeps 1 and 1
+        # over 1, as Form(n, terms) clears the same coefficients
+        text = "1/2*x*(2*y + 2*z)"
+        terms, den = _Parser(text, VariableContext.of(VARS3)).parse()
+        assert (sorted(terms.values()), den) == ([2, 2], 2)
+        f = parse_form(text, VARS3)
+        assert (f.ints, f.den) == ({(1, 1, 0): 1, (1, 0, 1): 1}, 1)
+        assert f == Form(3, f.terms)
 
 
 class TestParseErrors:
@@ -596,9 +608,9 @@ def _primes(count: int) -> list[int]:
 
 def test_many_distinct_denominators_end_in_bounded_time():
     # 3 000 terms 1/p*v_a*v_b over 80 variables with pairwise coprime p: over
-    # their common denominator of 39 000 bits, dividing every coefficient
-    # once takes more than the work limit allows, which is charged at
-    # position 0, before any division
+    # their common denominator of 39 000 bits, the final gcd with every
+    # coefficient takes more than the work limit allows, which is charged at
+    # position 0, before the gcd
     names = [f"v{i}" for i in range(80)]
     pairs = [(a, b) for a in range(80) for b in range(a, 80)]
     text = " + ".join(
@@ -638,27 +650,37 @@ _FRACTION_ARITHMETIC = (
 ).split()
 
 
-def _count_fraction_arithmetic(monkeypatch) -> Counter:
-    """Count every Fraction arithmetic call from here to monkeypatch.undo()."""
+def _count_fraction_arithmetic(monkeypatch, names=_FRACTION_ARITHMETIC) -> Counter:
+    """Count every call of the Fraction methods `names`, by default its
+    arithmetic, from here to monkeypatch.undo().  Add "__new__" to count
+    the Fractions built by name, Fraction(p, q) (from Python 3.12 on the
+    results of arithmetic are built without it)."""
     calls: Counter = Counter()
-    for name in _FRACTION_ARITHMETIC:
+    for name in names:
 
-        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+        def counted(*args, _name=name, _method=getattr(Fraction, name), **kwargs):
             calls[_name] += 1
-            return _method(*args)
+            return _method(*args, **kwargs)
 
         monkeypatch.setattr(Fraction, name, counted)
     return calls
 
 
 def test_parse_and_psd_decide_do_no_fraction_arithmetic(monkeypatch, wds3):
-    calls = _count_fraction_arithmetic(monkeypatch)
-    text = "(1/3*x - 2/5*y)^2 + 1/7*(x*z + y*z) - 1/11*z^2 + 3/4*z^2 + 1/6*x*y"
-    form = parse_form(text, VARS3)
-    verdict = decide(form, wds3)
-    monkeypatch.undo()
-    assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 1)
-    assert not calls
+    # a Form keeps the parser's ints over one denominator, and decide reads
+    # them, so neither builds a Fraction: not from rational coefficients,
+    # nor from integer ones
+    texts = (
+        "(1/3*x - 2/5*y)^2 + 1/7*(x*z + y*z) - 1/11*z^2 + 3/4*z^2 + 1/6*x*y",
+        "x^4 - 2*x^2*y^2 + y^4 + x*y*z^2 + z^4",
+    )
+    for text in texts:
+        calls = _count_fraction_arithmetic(monkeypatch, (*_FRACTION_ARITHMETIC, "__new__"))
+        form = parse_form(text, VARS3)
+        verdict = decide(form, wds3)
+        monkeypatch.undo()
+        assert (verdict.outcome, verdict.depth_reached) == (Outcome.PSD, 1)
+        assert not calls
 
 
 def test_cells_are_read_without_fraction_arithmetic(monkeypatch):
