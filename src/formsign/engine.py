@@ -85,13 +85,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, gcd
-from operator import add, itemgetter, mul, or_
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .forms import (
     DimensionMismatchError,
     Form,
     _compositions,
+    _mul,
     _write_rational,
 )
 from .subdivision import SubdivisionScheme, barycenter
@@ -188,13 +189,12 @@ class _Table:
     Column j of rep is the expansion of monomial `exponents[j]` under rep
     with denominators cleared.  packs(rep, w) holds each column as one int
     with a w-bit slot per monomial, the slot of `exponents[r]` being the
-    r-th from the top, and top(w) is the bias 2^(w-1) in every slot; both
-    are built on first use of a width and live as long as the table.  Every
-    entry is a nonnegative integer (scheme cells have nonnegative entries)
-    below 2^bits, bits the largest entry's bit length, and maxc = 2^bits - 1:
-    no entry exceeds R^degree, R the largest row sum of a representative,
-    so packs at a width that holds R^degree give bits, and they are kept
-    like any other width's.
+    r-th from the top, built on first use of a width and kept as long as the
+    table lives.  Every entry is a nonnegative integer (scheme cells have
+    nonnegative entries) below 2^bits, bits the largest entry's bit length,
+    and maxc = 2^bits - 1: no entry exceeds R^degree, R the largest row sum
+    of a representative, so packs at a width that holds R^degree give bits,
+    and they are kept like any other width's.
 
     A table of at most _BATCH_ENTRIES strip entries also holds strips[j]:
     column pin[j] of every cell's representative packed at floored_width,
@@ -208,7 +208,7 @@ class _Table:
 
     __slots__ = (
         "exponents", "index", "cells", "maxc", "floored_width", "strips",
-        "elevation", "_reps", "_packs", "_tops", "_strips_top",
+        "elevation", "_reps", "_packs", "_strips_top",
     )
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
@@ -235,7 +235,6 @@ class _Table:
             for rep, sigma, tau in classes
         ]
         self._packs = {}
-        self._tops = {}
         top_row = max(sum(row) for rows in self._reps.values() for row in rows)
         w = _slot_width(top_row**degree)
         k = w // 8
@@ -309,7 +308,7 @@ class _Table:
             rep, pin, pout = cells[m]
             if not w:  # the width is found on the first cell that needs it
                 w = _slot_width(self.maxc * sum(abs(v) for _, v in items))
-                top = self.top(w)
+                top = _bias(w, len(self.exponents))
             packs = self.packs(rep, w)
             x = top
             for j, v in items:
@@ -324,13 +323,6 @@ class _Table:
         if packs is None:
             packs = self._packs[(rep, w)] = _walk(self._reps[rep], self.exponents, w)
         return packs
-
-    def top(self, w: int) -> int:
-        """2^(w-1) in every w-bit slot: the bias, and the sign bits' mask."""
-        top = self._tops.get(w)
-        if top is None:
-            top = self._tops[w] = _bias(w, len(self.exponents))
-        return top
 
 
 class _Elevation:
@@ -405,7 +397,9 @@ class _Elevation:
         return True
 
 
-# elevation pack sets live as long as a table holds them: (n, degree) -> _Elevation
+# elevation pack sets live as long as a table holds them: (n, degree) -> _Elevation.
+# Shared across schemes: a pack set depends on n and the degree alone, and an
+# n = 3 one takes 0.3-0.5 ms to build (2-vCPU VM) for each scheme otherwise
 _ELEVATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -430,9 +424,7 @@ def _elevated(alphas: Sequence, w: int, interior: bool) -> list[int]:
 
     S^K is one form laid out in _box's degree-(d + K) box, and S^K * y^alpha
     is that form with its slots moved by alpha's box slot: a shift of the
-    dense int, or a new key per dict entry.  A dict holds only the entries
-    its part keeps: in the interior, S^K's y^beta with beta_i >= 1 wherever
-    alpha_i = 0 (none when alpha has more than K zero exponents).
+    dense int, or a new key per dict entry.
     """
     n = len(alphas[0])
     high = sum(alphas[0]) + _POLYA_K
@@ -441,25 +433,12 @@ def _elevated(alphas: Sequence, w: int, interior: bool) -> list[int]:
     else:
         monomials = tuple(_compositions(high, n))[::-1]
     unit, dense, pack = _box(n, high, monomials, w)
-
-    def image(betas: Iterable) -> dict:
-        """S^K's terms y^beta: box slot -> coefficient."""
-        return {sum(map(mul, b, unit)): _multinomial(b) for b in betas}
-
+    power = {sum(map(mul, b, unit)): _multinomial(b) for b in _compositions(_POLYA_K, n)}
     moves = [sum(map(mul, a, unit)) for a in alphas]
     if dense:
-        x = sum(c << w * o for o, c in image(_compositions(_POLYA_K, n)).items())
+        x = sum(c << w * o for o, c in power.items())
         return [pack(x << w * u) for u in moves]
-    if not interior:
-        power = image(_compositions(_POLYA_K, n)).items()
-        return [pack({u + o: c for o, c in power}) for u in moves]
-    packs = []
-    for a, u in zip(alphas, moves):
-        lift = [int(not v) for v in a]
-        rest = _compositions(_POLYA_K - sum(lift), n)
-        betas = (tuple(map(add, lift, b)) for b in rest)
-        packs.append(pack({u + o: c for o, c in image(betas).items()}))
-    return packs
+    return [pack({u + o: c for o, c in power.items()}) for u in moves]
 
 
 def _bias(w: int, slots: int) -> int:
@@ -566,28 +545,30 @@ def _box(
 def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
     """The expansion of each monomial `exponents[j]` under the integer cell
     `rows`, packed into w-bit slots, the slot of `exponents[r]` the r-th from
-    the top; every entry must be below 2^w.
+    the top; every entry must be below 2^w.  `exponents` must be every
+    degree-d monomial in n variables, in descending order, as both callers
+    pass them.
 
     A form on the way is laid out in _box's box, so multiplying it by the
     image of x_i costs one shifted multiply-add per nonzero entry of row i
-    on a dense form, and one dict update per (term, entry) on a sparse one.
-    Entries are nonnegative, and each is at most an entry of every
-    expansion that extends its monomial (every row has a positive entry),
-    so no field carries into the next, and a degree-d image is compacted at
-    once.
+    on a dense form, and one forms._mul by the image, a dict keyed by box
+    slot, on a sparse one.  Entries are nonnegative, and each is at most an
+    entry of every expansion that extends its monomial (every row has a
+    positive entry), so no field carries into the next, no dict term
+    cancels, and a degree-d image is compacted at once.
 
     The walk goes depth first over the index sequences i_1 <= ... <= i_d,
     one per monomial x_{i_1} ... x_{i_d}, and keeps only the images along
-    its path.  Most steps multiply by x_{n-1}, whose image is the sparsest
-    row in the corner cells that represent the built-in schemes.
+    its path.  It meets them in lex order, which is their monomials'
+    descending order, so each pack is appended as it is reached.  Most
+    steps multiply by x_{n-1}, whose image is the sparsest row in the
+    corner cells that represent the built-in schemes.
     """
     n = len(rows)
     degree = sum(exponents[0])
     unit, dense, pack = _box(n, degree, exponents, w)
-    at = {sum(map(mul, e, unit)): j for j, e in enumerate(exponents)}
-    terms = [[(c, u) for c, u in zip(row, unit) if c] for row in rows]
     if dense:
-        shifts = [[(c, w * u) for c, u in row] for row in terms]
+        shifts = [[(c, w * u) for c, u in zip(row, unit) if c] for row in rows]
 
         def times(x: int, i: int) -> int:
             y = 0
@@ -597,25 +578,20 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
 
         one = 1
     else:
+        linear = [{u: c for c, u in zip(row, unit) if c} for row in rows]
 
         def times(x: dict, i: int) -> dict:
-            y: dict = {}
-            for o, v in x.items():
-                for c, u in terms[i]:
-                    y[o + u] = y.get(o + u, 0) + c * v
-            return y
+            return _mul(x, linear[i])
 
         one = {0: 1}
-    packs = [0] * len(exponents)
+    packs = []
     path = [0] * degree  # the factors' indices, nondecreasing
     image = [one] * (degree + 1)  # image[t]: the image of the path's first t factors
-    slot = [0] * (degree + 1)  # slot[t]: their monomial's box slot
     t = 0  # the first factor whose image is stale
     while True:
         for u in range(t, degree):
             image[u + 1] = times(image[u], path[u])
-            slot[u + 1] = slot[u] + unit[path[u]]
-        packs[at[slot[degree]]] = pack(image[degree])
+        packs.append(pack(image[degree]))
         # the next path: raise the last factor below x_{n-1}, repeat it to the end
         t = degree - 1
         while t >= 0 and path[t] == n - 1:
@@ -883,6 +859,8 @@ def run_report(verdict: Verdict) -> dict:
     if verdict.outcome is Outcome.INCONCLUSIVE:
         report["note"] = (
             "undecided: the form may be nonnegative with zeros on the simplex "
-            "(then no depth suffices) or max_depth may simply be too small"
+            "(then no depth suffices), max_depth may simply be too small, or "
+            "the scheme's cells may not shrink to points (analyze-scheme checks "
+            "this at level 1)"
         )
     return report

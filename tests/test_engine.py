@@ -14,6 +14,7 @@ from formsign import (
     Branch,
     DimensionMismatchError,
     Form,
+    LevelResult,
     NormalizedMatrix,
     Outcome,
     RunStats,
@@ -221,6 +222,9 @@ class TestExpandLevel:
         assert len(result.children) == 1
         assert result.children[0].path == (1,)
 
+    def test_empty_frontier_expands_to_nothing(self, wds3):
+        assert expand_level([], wds3) == LevelResult([], 0, None)
+
     def test_matches_public_substitution_pipeline(self, sym_diff_form, wds3):
         result = expand_level([Branch(sym_diff_form, ())], wds3)
         child = result.children[0]
@@ -301,6 +305,20 @@ def test_tables_live_as_long_as_their_scheme():
     del scheme
     gc.collect()
     assert all(s.name != "cache-probe" for s in engine._TABLES)
+
+
+def test_elevations_are_shared_and_live_as_long_as_their_tables():
+    # no other test builds degree 11 on three variables
+    assert (3, 11) not in engine._ELEVATIONS
+    first = SubdivisionScheme("elevation-probe-a", 3, make_wds_scheme(3).matrices)
+    second = SubdivisionScheme("elevation-probe-b", 3, make_midpoint3_scheme().matrices)
+    elevation = engine._table_for(first, 11).elevation
+    assert elevation is not None
+    assert engine._table_for(second, 11).elevation is elevation
+    assert engine._ELEVATIONS[(3, 11)] is elevation
+    del first, second, elevation
+    gc.collect()
+    assert (3, 11) not in engine._ELEVATIONS
 
 
 # (scheme, expansions built): cells that differ by a row and a column
@@ -1287,6 +1305,8 @@ class TestRunReport:
         report = run_report(decide(f, central3, max_depth=3))
         assert report["verdict"] == "inconclusive"
         assert "undecided" in report["note"]
+        # central3's cells keep an edge: they never shrink to points
+        assert "cells may not shrink to points" in report["note"]
 
     def test_long_values_at_the_lowest_digit_limit(self):
         # a 904-digit witness value, past 640 digits, Python's lowest
