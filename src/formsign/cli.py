@@ -78,6 +78,15 @@ def _resolve_scheme(selector: str, n: int) -> SubdivisionScheme:
     return _BUILTIN_SCHEMES[selector](n)
 
 
+def _scheme_of_n(args) -> SubdivisionScheme:
+    """--scheme for the scheme commands: wds in --n variables (3 when --n is
+    not given), and any other scheme only when --n, if given, is its n."""
+    scheme = _resolve_scheme(args.scheme, 3 if args.n is None else args.n)
+    if args.n is not None and args.n != scheme.n:
+        raise SchemeError(f"scheme {scheme.name} has n = {scheme.n}, not --n {args.n}")
+    return scheme
+
+
 @contextmanager
 def _full_digits():
     # int() and str() refuse ints past sys.get_int_max_str_digits() (Python
@@ -152,7 +161,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_analyze_scheme(args) -> int:
     try:
-        scheme = _resolve_scheme(args.scheme, args.n)
+        scheme = _scheme_of_n(args)
     except SchemeError as exc:
         # a scheme file whose cells fail the checks: report them matrix by matrix
         if exc.validation is None:
@@ -245,7 +254,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gen_scheme(args) -> int:
-    scheme = _resolve_scheme(args.scheme, args.n)
+    scheme = _scheme_of_n(args)
     if args.out:
         save_scheme(scheme, args.out)
         print(f"wrote {args.out}")
@@ -304,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze-scheme", help="validate a scheme and report its contraction"
     )
     p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, default=3, help="dimension for wds (default 3)")
+    p.add_argument(
+        "--n", type=int, help="dimension for wds (default 3); other schemes refuse any but theirs"
+    )
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_analyze_scheme)
 
@@ -324,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scheme", help="write a built-in scheme as a scheme file")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, default=3, help="dimension for wds (default 3)")
+    p.add_argument(
+        "--n", type=int, help="dimension for wds (default 3); other schemes refuse any but theirs"
+    )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen_scheme)
 

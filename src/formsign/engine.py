@@ -44,14 +44,17 @@ output index map, so each class is expanded once.
 
 Expansions are packed (Kronecker substitution): each becomes one Python int
 with a w-bit slot per output monomial, built by a depth-first walk over the
-monomials that keeps one partial image per degree on its path.  A child is
-computed on these packs.  The slot width is chosen per parent so that no child
-coefficient reaches 2^(w-1) in absolute value; the child is then 2^(w-1) in
-every slot (the bias) plus one big-int multiply-add per parent term, every
-biased slot lies in [1, 2^w) without carrying into the next, and its top
-bit is set exactly when the coefficient is nonnegative.  So "all
-coefficients >= 0" is one AND against the bias, and only kept or negative
-children are decoded slot by slot.
+monomials that keeps one partial image per degree on its path.  The walk
+runs once per representative, at a width that holds every entry; every
+entry is nonnegative, so the packs of any other width that holds them are
+the walked packs re-spaced, each slot gaining zero high bytes or dropping
+them.  A child is computed on these packs.  The slot width is chosen per
+parent so that no child coefficient reaches 2^(w-1) in absolute value; the
+child is then 2^(w-1) in every slot (the bias) plus one big-int
+multiply-add per parent term, every biased slot lies in [1, 2^w) without
+carrying into the next, and its top bit is set exactly when the
+coefficient is nonnegative.  So "all coefficients >= 0" is one AND against
+the bias, and only kept or negative children are decoded slot by slot.
 
 Most children are pruned, so a table of at most _BATCH_ENTRIES strip
 entries computes a parent's child in every cell at once (_Table.children):
@@ -189,15 +192,17 @@ class _Table:
     Column j of rep is the expansion of monomial `exponents[j]` under rep
     with denominators cleared.  packs(rep, w) holds each column as one int
     with a w-bit slot per monomial, the slot of `exponents[r]` being the
-    r-th from the top, built on first use of a width and kept as long as the
-    table lives.  Every entry is a nonnegative integer (scheme cells have
-    nonnegative entries) below 2^bits, bits the largest entry's bit length,
-    and maxc = 2^bits - 1: no entry exceeds R^degree, R the largest row sum
-    of a representative, so packs at a width that holds R^degree give bits,
-    and they are kept like any other width's.
+    r-th from the top, kept as long as the table lives.  Every entry is a
+    nonnegative integer (scheme cells have nonnegative entries) below
+    2^bits, bits the largest entry's bit length, and maxc = 2^bits - 1.  No
+    entry exceeds R^degree, R the largest row sum of a representative, so
+    the table walks each representative once, at the width that holds
+    R^degree, and reads bits off those packs.  The packs of any other width
+    w >= bits are the walked ones re-spaced (_respaced), built on first use
+    of the width.
 
     A table of at most _BATCH_ENTRIES strip entries also holds strips[j]:
-    column pin[j] of every cell's representative packed at floored_width,
+    column pin[j] of every cell's representative re-spaced to floored_width,
     the cells' slots concatenated in scheme order with cell 1 on top, so
     one multiply-add per parent term computes a child of the (floored)
     parent in every cell at once (children).  Larger tables hold
@@ -208,7 +213,7 @@ class _Table:
 
     __slots__ = (
         "exponents", "index", "cells", "maxc", "floored_width", "strips",
-        "elevation", "_reps", "_packs", "_strips_top",
+        "elevation", "_reps", "_walk_width", "_packs", "_strips_top",
     )
 
     def __init__(self, scheme: SubdivisionScheme, degree: int):
@@ -234,13 +239,13 @@ class _Table:
             (rep, _column_map(sigma, maps, index), _column_map(tau, maps, index))
             for rep, sigma, tau in classes
         ]
-        self._packs = {}
         top_row = max(sum(row) for rows in self._reps.values() for row in rows)
-        w = _slot_width(top_row**degree)
+        self._walk_width = w = _slot_width(top_row**degree)
+        self._packs = {(rep, w): _walk(rows, exps, w) for rep, rows in self._reps.items()}
         k = w // 8
         # the largest entry has the bits of the largest slot of the OR of all
         # packs; big-endian slots of equal length compare as their values
-        union = reduce(or_, (pack for rep in self._reps for pack in self.packs(rep, w)))
+        union = reduce(or_, (pack for packs in self._packs.values() for pack in packs))
         raw = union.to_bytes(size * k, "big")
         largest = max(raw[i : i + k] for i in range(0, size * k, k))
         self.maxc = (1 << int.from_bytes(largest, "big").bit_length()) - 1
@@ -253,8 +258,7 @@ class _Table:
             self.floored_width = wf = -(-bound // 8) * 8
             kf = wf // 8
             columns = {
-                rep: [pack.to_bytes(size * kf, "big") for pack in _walk(rows, exps, wf)]
-                for rep, rows in self._reps.items()
+                rep: list(_respaced(self._packs[(rep, w)], size, k, kf)) for rep in self._reps
             }
             self.strips = []
             for j in range(size):
@@ -317,11 +321,13 @@ class _Table:
                 yield m, _slots(x, w // 8, pout)
 
     def packs(self, rep: int, w: int) -> list[int]:
-        """Representative rep's columns packed into w-bit slots, built on
-        first use of the width by one walk."""
+        """Representative rep's columns packed into w-bit slots: the walked
+        packs, or those re-spaced on first use of the width, with no walk."""
         packs = self._packs.get((rep, w))
         if packs is None:
-            packs = self._packs[(rep, w)] = _walk(self._reps[rep], self.exponents, w)
+            walked, k = self._packs[(rep, self._walk_width)], self._walk_width // 8
+            raw = _respaced(walked, len(self.exponents), k, w // 8)
+            packs = self._packs[(rep, w)] = [int.from_bytes(r, "big") for r in raw]
         return packs
 
 
@@ -454,6 +460,35 @@ def _slots(x: int, k: int, order: Sequence[int]) -> list[int]:
     return [int.from_bytes(raw[r * k : r * k + k], "big") - half for r in order]
 
 
+# a memoryview format of each item size _respaced moves
+_ITEMS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _respaced(packs: Sequence[int], slots: int, k: int, k2: int) -> Iterator[bytearray]:
+    """The big-endian bytes of `packs`, each of `slots` k-byte slots, with
+    every slot's entry moved into k2 bytes: padded with high zero bytes when
+    k2 > k, cut to its low k2 bytes otherwise, so every entry must be below
+    2^(8 min(k, k2)).
+
+    Each u-byte item of a slot, u = gcd(k, k2, 8), is one strided copy of
+    that item of every slot of a pack, so the loop runs min(k, k2) / u times
+    per pack, whatever the number of slots.
+    """
+    u = gcd(k, k2, 8)
+    item = _ITEMS[u]
+    k, k2 = k // u, k2 // u  # in u-byte items
+    moves = [
+        (slice(k2 - b, None, k2), slice(k - b, None, k)) for b in range(1, min(k, k2) + 1)
+    ]
+    for pack in packs:
+        raw = bytearray(slots * k2 * u)
+        into = memoryview(raw).cast(item)
+        items = memoryview(pack.to_bytes(slots * k * u, "big")).cast(item)
+        for to, at in moves:
+            into[to] = items[at]
+        yield raw
+
+
 def _column_map(perm: tuple, maps: dict, index: dict) -> list:
     """The column of e' where e'[perm[i]] = e[i], for each column's e, the
     columns being `index`'s keys in order; `maps` caches it per permutation
@@ -546,8 +581,9 @@ def _walk(rows: tuple, exponents: tuple, w: int) -> list[int]:
     """The expansion of each monomial `exponents[j]` under the integer cell
     `rows`, packed into w-bit slots, the slot of `exponents[r]` the r-th from
     the top; every entry must be below 2^w.  `exponents` must be every
-    degree-d monomial in n variables, in descending order, as both callers
-    pass them.
+    degree-d monomial in n variables, in descending order, as _Table passes
+    them: it walks each representative once, and re-spaces the packs into
+    every other width it needs.
 
     A form on the way is laid out in _box's box, so multiplying it by the
     image of x_i costs one shifted multiply-add per nonzero entry of row i

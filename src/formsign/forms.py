@@ -32,6 +32,7 @@ MAX_DIGITS = 4300
 # Python never sets its int/str digit limit below 640, so runs of at most
 # this many digits convert whatever the interpreter's limit is
 _CHUNK = 640
+_TEN_CHUNK = 10**_CHUNK
 # the text as_fraction reads: an optionally signed integer or p/q
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 # a run of ASCII digits, the text _read_int takes; str.isdigit() also
@@ -72,8 +73,8 @@ def _write_rational(value: int | Fraction) -> str:
 
     def digits(k: int) -> str:
         low = []
-        while k >= 10**_CHUNK:
-            k, r = divmod(k, 10**_CHUNK)
+        while k >= _TEN_CHUNK:
+            k, r = divmod(k, _TEN_CHUNK)
             low.append(f"{r:0{_CHUNK}d}")
         return str(k) + "".join(reversed(low))
 

@@ -465,9 +465,9 @@ def format_form(form: Form, variables: Iterable[str] | str | VariableContext) ->
         return "0"
     parts: list[str] = []
     # within one homogeneous form graded-lex is plain lex; sort high to low
-    terms = form.terms
-    for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
-        coeff = terms[exps]
+    ints, den = form.ints, form.den  # each coefficient is ints[e] / den
+    for exps in sorted(ints, key=lambda e: (sum(e), e), reverse=True):
+        coeff = ints[exps]
         factors = []
         for name, e in zip(ctx.names, exps):
             if e == 1:
@@ -476,12 +476,16 @@ def format_form(form: Form, variables: Iterable[str] | str | VariableContext) ->
                 factors.append(f"{name}^{_write_rational(e)}")
         mono = "*".join(factors)
         mag = abs(coeff)
+        g = gcd(mag, den)  # |coeff| / den in lowest terms
+        text = _write_rational(mag // g)
+        if g != den:
+            text = f"{text}/{_write_rational(den // g)}"
         if not mono:
-            body = _write_rational(mag)
-        elif mag == 1:
+            body = text
+        elif mag == den:
             body = mono
         else:
-            body = f"{_write_rational(mag)}*{mono}"
+            body = f"{text}*{mono}"
         if not parts:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:

@@ -420,6 +420,27 @@ class TestAnalyzeSchemeCommand:
         assert code == 3
         assert "for n <= 7" in err
 
+    @pytest.mark.parametrize("command", ["analyze-scheme", "gen-scheme"])
+    @pytest.mark.parametrize("scheme", ["midpoint3", "trisection3", "central3"])
+    def test_fixed_scheme_refuses_another_n(self, capsys, command, scheme):
+        code, out, err = run(capsys, command, "--scheme", scheme, "--n", "4")
+        assert (code, out) == (3, "")
+        assert f"error: scheme {scheme} has n = 3, not --n 4" in err
+        code, out, err = run(capsys, command, "--scheme", scheme, "--n", "3")
+        assert code == 0
+        assert out == run(capsys, command, "--scheme", scheme)[1]
+
+    def test_scheme_file_n_is_its_own(self, capsys, tmp_path):
+        path = tmp_path / "wds2.scheme"
+        assert run(capsys, "gen-scheme", "--scheme", "wds", "--n", "2", "--out", str(path))[0] == 0
+        for argv in ((), ("--n", "2")):
+            code, out, err = run(capsys, "analyze-scheme", "--scheme", f"file:{path}", *argv)
+            assert code == 0
+            assert "scheme: wds2 (2 cells, n = 2)" in out
+        code, out, err = run(capsys, "analyze-scheme", "--scheme", f"file:{path}", "--n", "3")
+        assert code == 3
+        assert "error: scheme wds2 has n = 2, not --n 3" in err
+
 
 class TestSampleCommand:
     def test_negative_found_exit_one(self, capsys):

@@ -577,6 +577,76 @@ def test_many_variables_at_a_low_degree():
     assert table.elevation is None
 
 
+RESPACED_TABLES = [
+    *((name, KERNEL_SCHEMES[name], d) for name in KERNEL_SCHEMES for d in range(5)),
+    ("wds3", KERNEL_SCHEMES["wds3"], 24),
+    ("bisection16", lambda: bisection_scheme(16), 2),  # the dict layout
+    ("trisection3", KERNEL_SCHEMES["trisection3"], 24),  # narrowed from 128 bits
+]
+
+
+@pytest.mark.parametrize(
+    "name, make, degree", RESPACED_TABLES, ids=[f"{t[0]}-{t[2]}" for t in RESPACED_TABLES]
+)
+def test_respaced_packs_and_strips_match_walks(name, make, degree):
+    # each width up to 136 bits whose slots hold the entries, so that the
+    # byte counts of the walked width and the asked one share 1, 2, 4 or 8
+    # bytes, some below the walked width, and then 256 and 512 bits
+    table = engine._Table(make(), degree)
+    size, exps = len(table.exponents), table.exponents
+    bits = table.maxc.bit_length()
+    for w in (*range(32, 144, 8), 256, 512):
+        if w >= bits:
+            for rep, rows in table._reps.items():
+                assert table.packs(rep, w) == engine._walk(rows, exps, w)
+    if (name, degree) == ("trisection3", 24):
+        assert table._walk_width == 128 and 64 in widths(table)
+    if table.strips is not None:
+        wf = table.floored_width
+        columns = {
+            rep: [p.to_bytes(size * wf // 8, "big") for p in engine._walk(rows, exps, wf)]
+            for rep, rows in table._reps.items()
+        }
+        for j, strip in enumerate(table.strips):
+            joined = b"".join(columns[rep][pin[j]] for rep, pin, _ in table.cells)
+            assert strip == int.from_bytes(joined, "big")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The rows of every engine._walk call, in order."""
+    calls = []
+    walk = engine._walk
+
+    def record(rows, exponents, w):
+        calls.append(rows)
+        return walk(rows, exponents, w)
+
+    monkeypatch.setattr(engine, "_walk", record)
+    return calls
+
+
+def test_each_representative_walked_once(walks, big_radical_form):
+    # the radical's midpoint3 table walks its two representatives at 64
+    # bits and re-spaces them to the 128 bits the first level needs
+    scheme = make_midpoint3_scheme()
+    verdict = decide(big_radical_form, scheme, max_depth=5)
+    assert verdict.witness_path == (4, 4, 1)
+    table = engine._TABLES[scheme][24]
+    assert widths(table) == [64, 128]
+    assert walks == list(table._reps.values())
+    # a table with strips re-spaces them from its walk too, and packs at a
+    # new width walk nothing
+    walks.clear()
+    table = engine._Table(make_midpoint3_scheme(), 3)
+    assert table.strips is not None
+    assert walks == list(table._reps.values())
+    walks.clear()
+    for rep in table._reps:
+        table.packs(rep, 256)
+    assert walks == []
+
+
 def random_parent(rng, size, kind):
     """Items of a random nonzero parent.  An int kind gives coefficients up
     to 2^kind in absolute value, about one in four of them negative;

@@ -116,6 +116,8 @@ class TestAsFraction:
         text = _write_rational(value)
         assert text == "-3/1" + "0" * 4999 + "7"
         assert _write_rational(10**1280) == "1" + "0" * 1280
+        assert _write_rational(10**640 - 1) == "9" * 640
+        assert _write_rational(10**640) == "1" + "0" * 640
         assert _write_rational(F(2, 3)) == "2/3"
 
 
